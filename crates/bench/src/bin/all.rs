@@ -1,5 +1,5 @@
 //! Runs the complete evaluation — Table 2 and Figures 4-7 — and prints
-//! each artefact, plus a Markdown rendering suitable for EXPERIMENTS.md.
+//! each artefact, plus a Markdown rendering of each table.
 
 use vpr_bench::sweep::SweepContext;
 use vpr_bench::{
@@ -76,7 +76,7 @@ fn main() {
     );
 
     // Combined machine-readable artefact: every table/figure JSON under
-    // one roof, so EXPERIMENTS.md can be regenerated by CI.
+    // one roof, so one file holds the whole evaluation.
     let indent = |j: &str| j.trim_end().replace('\n', "\n  ");
     let combined = format!(
         "{{\n  \"schema\": \"vpr-bench-eval/v4\",\n  \"table2\": {},\n  \"table2_miss_penalty_20\": {},\n  \"fig4\": {},\n  \"fig5\": {},\n  \"fig6\": {},\n  \"fig7\": {}\n}}\n",

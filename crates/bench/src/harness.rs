@@ -8,7 +8,8 @@
 //! [`write_throughput_json`] records the result as machine-readable
 //! `BENCH_throughput.json` so every PR leaves a perf trajectory.
 
-use crate::sweep::{run_sweep, SweepPoint};
+use crate::jobs::JobSpec;
+use crate::sweep::{json_escape, run_sweep, SweepPoint};
 use crate::workloads::Workload;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -50,7 +51,7 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// A fast configuration for tests and Criterion benches.
+    /// A fast configuration for tests and smoke runs.
     pub fn quick() -> Self {
         Self {
             warmup: 2_000,
@@ -121,15 +122,7 @@ pub fn run_benchmark(
     physical_regs: usize,
     exp: &ExperimentConfig,
 ) -> SimStats {
-    let workload = workload.into();
-    let config = SimConfig::builder()
-        .scheme(scheme)
-        .physical_regs(physical_regs)
-        .miss_penalty(exp.miss_penalty)
-        .build();
-    let mut cpu = Processor::new(config, workload.stream(exp.seed));
-    cpu.warm_up(exp.warmup);
-    cpu.run(exp.measure)
+    run_benchmark_observed(workload, scheme, physical_regs, exp, vpr_core::NoObs).0
 }
 
 /// [`run_benchmark`] with a lifecycle observer attached, returning both
@@ -140,25 +133,23 @@ pub fn run_benchmark(
 /// [`SimStats`] covers, and the same window a checkpoint-restored run
 /// measures. With [`vpr_core::NoObs`] this monomorphises back to
 /// [`run_benchmark`] exactly (zero-overhead contract, see
-/// `docs/observability.md`).
-pub fn run_benchmark_observed<O: vpr_core::PipeObserver>(
+/// `docs/observability.md`). Both are the store-less case of the one
+/// point executor, [`crate::jobs::execute_job_with`].
+pub fn run_benchmark_observed<O: vpr_core::PipeObserver + Clone>(
     workload: impl Into<Workload>,
     scheme: RenameScheme,
     physical_regs: usize,
     exp: &ExperimentConfig,
     obs: O,
 ) -> (SimStats, O) {
-    let workload = workload.into();
-    let config = SimConfig::builder()
-        .scheme(scheme)
-        .physical_regs(physical_regs)
-        .miss_penalty(exp.miss_penalty)
-        .build();
-    let mut cpu = Processor::with_observer(config, workload.stream(exp.seed), obs);
-    cpu.warm_up(exp.warmup);
-    cpu.observer_mut().reset();
-    let stats = cpu.run(exp.measure);
-    (stats, cpu.into_observer())
+    let spec = JobSpec {
+        workload: workload.into(),
+        scheme,
+        physical_regs,
+        exp: *exp,
+    };
+    let run = crate::jobs::execute_job_with(&spec, None, obs);
+    (run.stats, run.obs)
 }
 
 // ----------------------------------------------------------------------
@@ -400,23 +391,7 @@ impl ThroughputReport {
             }
             s.push_str("  ]},\n");
         }
-        // Full JSON string escaping: notes are free-form user input and
-        // may contain newlines or other control characters.
-        let mut escaped = String::with_capacity(self.notes.len());
-        for c in self.notes.chars() {
-            match c {
-                '\\' => escaped.push_str("\\\\"),
-                '"' => escaped.push_str("\\\""),
-                '\n' => escaped.push_str("\\n"),
-                '\r' => escaped.push_str("\\r"),
-                '\t' => escaped.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(escaped, "\\u{:04x}", c as u32);
-                }
-                c => escaped.push(c),
-            }
-        }
-        let _ = writeln!(s, "  \"notes\": \"{escaped}\"");
+        let _ = writeln!(s, "  \"notes\": \"{}\"", json_escape(&self.notes));
         s.push_str("}\n");
         s
     }

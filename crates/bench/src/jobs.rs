@@ -1,38 +1,45 @@
-//! A reusable single-job execution API, extracted from the sweep engine
-//! for the `vpr-serve` daemon.
+//! The one executor of a sweep point.
 //!
-//! The batch sweep ([`crate::sweep`]) executes a whole grid in one
-//! process invocation; the service executes the *same* work one job at a
-//! time, across daemon restarts, with concurrent tenants sharing a warm
-//! checkpoint store. This module is the common denominator: a
-//! [`JobSpec`] that round-trips through the workspace's line-JSON wire
-//! format, and [`execute_job`], which produces metrics **bit-identical**
-//! to the batch path for the same spec — the property every service
-//! robustness test pins.
+//! A [`JobSpec`] is one `(workload, scheme, register-file size)` point plus
+//! the experiment parameters it runs under, and this module is the only
+//! code that runs one. The batch sweep ([`crate::sweep`]) plans a grid into
+//! specs and fans them out; the `vpr-serve` daemon runs the same specs one
+//! at a time for tenants sharing a checkpoint store. Both therefore produce
+//! bit-identical metrics by construction.
 //!
-//! ### Warm-pass dedup
+//! * [`execute_job_with`] runs one exact point under a lifecycle observer;
+//!   [`execute_job`] is its [`NoObs`] case, the one the daemon calls.
+//! * [`group_pass`] gives a sampled sweep's sharing group its interval
+//!   checkpoints, and [`sample_job`] estimates one point from them.
 //!
-//! `execute_job` with a store restores the point's warm checkpoint when
-//! present and otherwise *deposits* one as a side effect of running (the
-//! batch miss path computes without depositing). That deposit is what
-//! makes cross-tenant dedup work: the first job of a (workload, seed,
-//! scheme, warm-up) coordinate pays the warm pass, every later job — from
-//! any client — restores it. Restored continuations are bit-identical to
-//! uninterrupted runs (the `vpr-snap` contract), so dedup never changes a
-//! result, only its cost. The store mutex is held only around manifest
-//! lookups and artefact writes, never across a simulation.
+//! With a store, an exact job restores its warm checkpoint when present;
+//! otherwise it simulates the warm-up, **deposits** the checkpoint and
+//! continues the same machine. A group pass likewise loads its interval
+//! set, or generates and deposits it. So the first job of a coordinate
+//! pays the warm pass and every later one, from any sweep or tenant,
+//! restores it. Restored continuations are bit-identical to uninterrupted
+//! runs (the `vpr-snap` contract): reuse changes a result's cost, never the
+//! result. The store mutex is held only around store I/O.
+//!
+//! Store trouble never fails a job either. An absent checkpoint is the
+//! normal cold start and is silent; a stale entry, a corrupt (quarantined)
+//! artefact or a snapshot that refuses to restore leaves a note, and a
+//! failed deposit a persist error.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::checkpoints::{
-    checkpoint_key, config_hash, generate_checkpoints, group_scheme_label, sim_config,
-    CheckpointLoadError, CheckpointOutcome, CheckpointStore, KIND_WARM,
+    checkpoint_key, config_hash, generate_group_checkpoints, group_scheme_label, sim_config,
+    CheckpointOutcome, CheckpointStore, GeneratedCheckpoint, KIND_INTERVAL, KIND_WARM,
 };
-use crate::sweep::{json_escape, json_num, PointMetrics};
+use crate::sampling::{sample_from_checkpoints, SamplingPlan};
+use crate::sweep::{json_escape, json_num, point_label, PointMetrics, SweepPoint};
 use crate::workloads::{parse_scheme, scheme_label, Workload, WorkloadStream};
 use crate::ExperimentConfig;
-use vpr_core::{Processor, RenameScheme};
+use vpr_core::{NoObs, PipeObserver, Processor, RenameScheme, SimStats};
+use vpr_obs::JobOutcome;
 use vpr_snap::manifest::JsonValue;
+use vpr_snap::Snapshot;
 
 /// One unit of service work: a single sweep point plus the experiment
 /// parameters it runs under. Two specs with equal fields produce
@@ -51,16 +58,25 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// The job's stable label — same shape as the sweep engine's point
-    /// label (`swim/vp-wb-nrr32@64r`), used for fault-injection matching
-    /// and failure reports.
+    /// The job running sweep point `p` under `exp`.
+    pub(crate) fn new(p: SweepPoint, exp: ExperimentConfig) -> Self {
+        Self {
+            workload: p.workload,
+            scheme: p.scheme,
+            physical_regs: p.physical_regs,
+            exp,
+        }
+    }
+
+    /// The job's stable label, its point's [`point_label`]
+    /// (`swim/vp-wb-nrr32@64r`), used for fault-injection matching and
+    /// failure reports.
     pub fn label(&self) -> String {
-        format!(
-            "{}/{}@{}r",
-            self.workload.name(),
-            scheme_label(self.scheme),
-            self.physical_regs
-        )
+        point_label(&SweepPoint {
+            workload: self.workload,
+            scheme: self.scheme,
+            physical_regs: self.physical_regs,
+        })
     }
 
     /// The single-flight key two tenants' warm passes coalesce on: the
@@ -229,29 +245,49 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Executes one job, bit-identical to the batch path for the same spec.
-///
-/// Without a store this is exactly [`crate::run_benchmark`]. With a
-/// store, the job restores its warm checkpoint when one is present and
-/// valid, and otherwise runs its warm pass through the checkpointing
-/// path and **deposits** the artefact for later tenants; either way the
-/// measurement window is the one the uninterrupted run would produce.
-/// Store trouble (corrupt artefact, failed write) degrades to a note —
-/// it never changes the metrics and never fails the job.
-pub fn execute_job(spec: &JobSpec, store: Option<&Mutex<CheckpointStore>>) -> JobOutput {
-    let Some(store) = store else {
-        let stats = crate::run_benchmark(spec.workload, spec.scheme, spec.physical_regs, &spec.exp);
-        return JobOutput {
-            metrics: PointMetrics {
-                ipc: stats.ipc(),
-                miss_ratio: stats.cache.miss_ratio(),
-                executions_per_commit: stats.executions_per_commit(),
-            },
-            outcome: CheckpointOutcome::NoStore,
-            note: None,
-        };
-    };
+/// Writes `generated` into the store and persists its manifest; the
+/// error, if any, as a persist note.
+fn deposit(store: &Mutex<CheckpointStore>, generated: &[GeneratedCheckpoint]) -> Option<String> {
+    let mut guard = lock(store);
+    let written = guard.save_all(generated).and_then(|()| guard.flush());
+    written
+        .err()
+        .map(|e| format!("checkpoint persist failed: {e}"))
+}
 
+/// What one exact execution produced.
+#[derive(Debug)]
+pub struct Executed<O> {
+    /// Measurement-window statistics.
+    pub stats: SimStats,
+    /// How the warm-up was satisfied.
+    pub outcome: CheckpointOutcome,
+    /// Why a present checkpoint could not be used, if one could not.
+    pub note: Option<String>,
+    /// Why depositing the warm checkpoint failed, if it did.
+    pub persist_error: Option<String>,
+    /// The observer, covering exactly the measurement window.
+    pub obs: O,
+}
+
+/// Runs one exact point under lifecycle observer `obs`: the executor
+/// behind [`execute_job`] and the batch sweep's exact mode.
+///
+/// Without a store this is the plain uninterrupted run. With one, a
+/// valid warm checkpoint is restored and only the measurement window is
+/// simulated; otherwise the warm-up is simulated, its end deposited as
+/// the point's warm checkpoint, and the same machine continues. Either
+/// way the window, and the observer (reset at its start), are the ones
+/// the uninterrupted run produces. `O = NoObs` monomorphises the
+/// instrumentation away.
+///
+/// The observer must be `Clone` because a restore that fails after
+/// validation consumes its argument; a fresh observer is cheap.
+pub fn execute_job_with<O: PipeObserver + Clone>(
+    spec: &JobSpec,
+    store: Option<&Mutex<CheckpointStore>>,
+    obs: O,
+) -> Executed<O> {
     let config = sim_config(spec.scheme, spec.physical_regs, &spec.exp);
     let hash = config_hash(spec.workload, &config, spec.exp.seed);
     let key = checkpoint_key(
@@ -262,75 +298,136 @@ pub fn execute_job(spec: &JobSpec, store: Option<&Mutex<CheckpointStore>>) -> Jo
         KIND_WARM,
         spec.exp.warmup,
     );
-    let mut note = None;
-
-    // Manifest lookup under the lock; simulation never is.
-    let loaded = lock(store).load(&key, hash);
-    match loaded {
-        Ok((entry, snapshot)) => {
-            let fresh = spec.workload.stream(spec.exp.seed);
-            match Processor::<WorkloadStream>::restore(&snapshot, fresh) {
-                Ok(mut cpu) => {
-                    cpu.reset_window();
-                    let stats = cpu.run(spec.exp.measure);
-                    return JobOutput {
-                        metrics: PointMetrics {
-                            ipc: stats.ipc(),
-                            miss_ratio: stats.cache.miss_ratio(),
-                            executions_per_commit: stats.executions_per_commit(),
-                        },
-                        outcome: CheckpointOutcome::Hit(entry.file),
-                        note: None,
-                    };
-                }
-                Err(e) => note = Some(format!("restore failed: {e}")),
-            }
+    let fresh = || spec.workload.stream(spec.exp.seed);
+    let measure = |mut cpu: Processor<WorkloadStream, O>, outcome, note, persist_error| {
+        cpu.reset_window();
+        cpu.observer_mut().reset();
+        let stats = cpu.run(spec.exp.measure);
+        Executed {
+            stats,
+            outcome,
+            note,
+            persist_error,
+            obs: cpu.into_observer(),
         }
-        Err(CheckpointLoadError::Manifest(_)) => {}
-        Err(e) => note = Some(e.to_string()),
-    }
+    };
 
-    // Warm-pass path: run the warm-up through the checkpointing pass,
-    // continue the restored machine through the measurement window
-    // (bit-identical to never pausing), and deposit the artefact.
-    let generated = generate_checkpoints(
+    let mut note = None;
+    if let Some(store) = store {
+        let loaded = lock(store).load(&key, hash);
+        note = match loaded {
+            Ok((entry, snapshot)) => match Processor::restore_with(&snapshot, fresh(), obs.clone())
+            {
+                Ok(cpu) => return measure(cpu, CheckpointOutcome::Hit(entry.file), None, None),
+                // A snapshot that validates but refuses to restore (shape
+                // mismatch) is as good as stale: simulate the warm-up.
+                Err(e) => Some(format!("restore failed: {e}")),
+            },
+            Err(e) => e.note(),
+        };
+    }
+    let mut cpu = Processor::with_observer(config, fresh(), obs);
+    cpu.run(spec.exp.warmup);
+    match store {
+        None => measure(cpu, CheckpointOutcome::NoStore, None, None),
+        Some(store) => {
+            let persist_error = deposit(store, &[GeneratedCheckpoint::capture(&cpu, key, hash)]);
+            measure(cpu, CheckpointOutcome::Miss, note, persist_error)
+        }
+    }
+}
+
+/// Executes one job, unobserved: [`execute_job_with`] with [`NoObs`], a
+/// failed deposit folded into the note.
+pub fn execute_job(spec: &JobSpec, store: Option<&Mutex<CheckpointStore>>) -> JobOutput {
+    let run = execute_job_with(spec, store, NoObs);
+    let note = match (run.note, run.persist_error) {
+        (Some(n), Some(p)) => Some(format!("{n}; {p}")),
+        (n, p) => n.or(p),
+    };
+    JobOutput {
+        metrics: PointMetrics::from_stats(&run.stats),
+        outcome: run.outcome,
+        note,
+    }
+}
+
+/// A sampled sharing group's interval checkpoints and where they came
+/// from.
+#[derive(Debug)]
+pub struct GroupPass {
+    /// `(interval start, snapshot)` pairs, in interval order.
+    pub set: Vec<(u64, Snapshot)>,
+    /// [`JobOutcome::CacheHit`] when the set was loaded from the store.
+    pub outcome: JobOutcome,
+    /// Why a present set could not be used, if one could not.
+    pub note: Option<String>,
+    /// Why depositing a generated set failed, if it did.
+    pub persist_error: Option<String>,
+}
+
+/// Obtains the interval checkpoints of `spec`'s sharing group for `plan`
+/// (every NRR value of a virtual-physical family restores the same
+/// canonical set; see [`crate::checkpoints::group_config`]). With a store
+/// the set is loaded when valid; otherwise the group's warm serial pass
+/// generates it and the pass's checkpoints are deposited. A corrupt
+/// on-disk set has already been quarantined by the loader, and the
+/// regenerated set is bit-identical, because the on-disk artefacts came
+/// from the very same pass.
+pub fn group_pass(
+    spec: &JobSpec,
+    plan: &SamplingPlan,
+    store: Option<&Mutex<CheckpointStore>>,
+) -> GroupPass {
+    let (workload, scheme, regs, exp) = (spec.workload, spec.scheme, spec.physical_regs, &spec.exp);
+    let mut note = None;
+    if let Some(store) = store {
+        match lock(store).load_group_interval_set(workload, scheme, regs, exp, plan) {
+            Ok(set) => {
+                return GroupPass {
+                    set,
+                    outcome: JobOutcome::CacheHit,
+                    note: None,
+                    persist_error: None,
+                }
+            }
+            Err(e) => note = e.note(),
+        }
+    }
+    let generated = generate_group_checkpoints(workload, scheme, regs, exp, Some(plan));
+    let set = generated
+        .iter()
+        .filter(|g| g.key.kind == KIND_INTERVAL)
+        .map(|g| (g.key.target, g.snapshot.clone()))
+        .collect();
+    GroupPass {
+        set,
+        outcome: match store {
+            Some(_) => JobOutcome::CacheMiss,
+            None => JobOutcome::NoStore,
+        },
+        note,
+        persist_error: store.and_then(|store| deposit(store, &generated)),
+    }
+}
+
+/// Estimates one sampled point from its group's interval set (see
+/// [`group_pass`]). The windows run serially, so a sweep's pool is never
+/// nested.
+pub fn sample_job(spec: &JobSpec, plan: &SamplingPlan, set: &[(u64, Snapshot)]) -> PointMetrics {
+    let report = sample_from_checkpoints(
         spec.workload,
         spec.scheme,
         spec.physical_regs,
         &spec.exp,
-        None,
+        plan,
+        set,
+        1,
     );
-    let warm = generated
-        .iter()
-        .find(|g| g.key.kind == KIND_WARM)
-        .expect("warm pass always yields a warm checkpoint");
-    let fresh = spec.workload.stream(spec.exp.seed);
-    let stats = match Processor::<WorkloadStream>::restore(&warm.snapshot, fresh) {
-        Ok(mut cpu) => {
-            cpu.reset_window();
-            cpu.run(spec.exp.measure)
-        }
-        // A snapshot this process just took failing to restore is a bug,
-        // but degrade rather than wedge: pay the full uninterrupted run.
-        Err(e) => {
-            note = Some(format!("fresh warm snapshot failed to restore: {e}"));
-            crate::run_benchmark(spec.workload, spec.scheme, spec.physical_regs, &spec.exp)
-        }
-    };
-    {
-        let mut guard = lock(store);
-        if let Err(e) = guard.save_all(&generated).and_then(|()| guard.flush()) {
-            note = Some(format!("checkpoint persist failed: {e}"));
-        }
-    }
-    JobOutput {
-        metrics: PointMetrics {
-            ipc: stats.ipc(),
-            miss_ratio: stats.cache.miss_ratio(),
-            executions_per_commit: stats.executions_per_commit(),
-        },
-        outcome: CheckpointOutcome::Miss,
-        note,
+    PointMetrics {
+        ipc: report.ipc(),
+        miss_ratio: report.miss_ratio(),
+        executions_per_commit: report.executions_per_commit(),
     }
 }
 

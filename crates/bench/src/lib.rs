@@ -14,10 +14,11 @@
 //! Run e.g. `cargo run --release -p vpr-bench --bin table2`, or `--bin
 //! all` for the whole evaluation. Binaries accept `--warmup`, `--measure`,
 //! `--seed`, `--miss-penalty` and `--jobs` flags, plus `--json PATH` to
-//! relocate their machine-readable artefact — and `--sampled`
-//! (optionally with `--checkpoint-dir DIR`) to estimate every
-//! configuration from checkpoint-seeded detailed windows instead of
-//! simulating it full-length (see [`sampling`] and `docs/sampling.md`).
+//! relocate their machine-readable artefact — `--sampled` to estimate
+//! every configuration from checkpoint-seeded detailed windows instead of
+//! simulating it full-length (see [`sampling`] and `docs/sampling.md`),
+//! and `--checkpoint-dir DIR` to restore warm-up checkpoints from `DIR`
+//! and deposit the ones a run had to simulate (see [`jobs`]).
 //!
 //! ## The parallel sweep engine
 //!

@@ -1,32 +1,37 @@
-//! The parallel sweep engine.
+//! The parallel sweep engine: planning a grid and folding its results.
 //!
 //! Every paper artefact is a sweep: the same simulator run over a grid of
 //! `(benchmark, scheme, register-file size)` points. The points are
-//! mutually independent and each simulation is deterministic, so
-//! [`run_sweep`] fans them out over [`vpr_core::par`]'s work-stealing
-//! pool and merges the [`SimStats`] back **in submission order** — the
-//! output is byte-identical to running the same points serially, for any
-//! worker count (`--jobs 1` included). The cycle-exact goldens and
-//! `tests/parallel_determinism.rs` pin this down.
+//! mutually independent and each simulation is deterministic, so a sweep
+//! plans its grid into [`JobSpec`]s, fans them out over
+//! [`vpr_core::par`]'s work-stealing pool, and merges the results back **in
+//! submission order**: the output is byte-identical to running the same
+//! points serially, for any worker count (`--jobs 1` included). The
+//! cycle-exact goldens and `tests/parallel_determinism.rs` pin this down.
+//!
+//! Points run through [`crate::jobs`], the executor the `vpr-serve`
+//! daemon also calls, so the batch and the daemon cannot drift apart.
+//! This module adds only what a whole grid needs: sampled sharing groups,
+//! retries, run telemetry, progress and the failure report.
 //!
 //! The experiment functions in [`crate::experiments`] all route through
 //! here; pass `--jobs N` to any figure/table binary (0 = one worker per
 //! host core, the default) to control the pool.
 
-use crate::checkpoints::{
-    generate_group_checkpoints, group_scheme_label, record_usage, run_benchmark_checkpointed_obs,
-    CheckpointLoadError, CheckpointOutcome, CheckpointStore, KIND_INTERVAL,
-};
-use crate::sampling::{sample_from_checkpoints, SamplingPlan};
+use crate::checkpoints::{group_scheme_label, record_usage, CheckpointOutcome, CheckpointStore};
+use crate::jobs::{execute_job_with, group_pass, sample_job, JobSpec};
+use crate::sampling::SamplingPlan;
 use crate::workloads::scheme_label;
-use crate::{run_benchmark, ExperimentConfig};
+use crate::ExperimentConfig;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::Instant;
 use vpr_core::par;
-use vpr_core::{RenameScheme, SimObserver, SimStats};
+use vpr_core::{NoObs, RenameScheme, SimObserver, SimStats};
 use vpr_obs::{JobOutcome, JobTelemetry, Progress, RunTelemetry, SimMetrics};
-use vpr_snap::manifest::ManifestError;
+
+pub use vpr_obs::json_escape;
 
 use crate::workloads::Workload;
 
@@ -58,7 +63,7 @@ impl SweepPoint {
 pub fn run_sweep(points: &[SweepPoint], exp: &ExperimentConfig) -> Vec<SimStats> {
     let exp = *exp;
     par::par_map(exp.effective_jobs(), points.to_vec(), move |_, p| {
-        run_benchmark(p.workload, p.scheme, p.physical_regs, &exp)
+        execute_job_with(&JobSpec::new(p, exp), None, NoObs).stats
     })
 }
 
@@ -70,17 +75,18 @@ pub fn run_sweep(points: &[SweepPoint], exp: &ExperimentConfig) -> Vec<SimStats>
 #[derive(Debug, Clone, Default)]
 pub enum SweepMode {
     /// Simulate every point full-length. With a checkpoint directory, warm
-    /// `.vprsnap` checkpoints are restored instead of simulating warm-up —
+    /// `.vprsnap` checkpoints are restored instead of simulating warm-up,
+    /// and a point that finds none deposits its own for the next run —
     /// restored continuations are bit-identical, so the output does not
     /// depend on whether (or which) checkpoints were found.
     #[default]
     Exact,
     /// Estimate every point from checkpoint-seeded detailed windows
-    /// ([`crate::sampling::sample_from_checkpoints`]). Interval
-    /// checkpoints are loaded from the checkpoint directory when a valid
-    /// set exists, and produced in-memory by one warm serial pass
-    /// otherwise (then persisted to the directory, if one was given, so
-    /// the next sampled run skips the pass).
+    /// ([`crate::jobs::sample_job`]). Interval checkpoints are loaded from
+    /// the checkpoint directory when a valid set exists, and produced
+    /// in-memory by one warm serial pass otherwise (then deposited in the
+    /// directory, if one was given, so the next sampled run skips the
+    /// pass).
     Sampled,
 }
 
@@ -161,7 +167,8 @@ pub struct PointMetrics {
 }
 
 impl PointMetrics {
-    fn from_stats(stats: &SimStats) -> Self {
+    /// The metrics of an exact measurement window.
+    pub(crate) fn from_stats(stats: &SimStats) -> Self {
         Self {
             ipc: stats.ipc(),
             miss_ratio: stats.cache.miss_ratio(),
@@ -185,27 +192,6 @@ impl PointMetrics {
     pub fn is_failed(&self) -> bool {
         self.ipc.is_nan()
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal (the escapes
-/// this workspace's hand-rolled readers understand: `\"`, `\\`, `\n`,
-/// `\r`, `\t`, and `\uXXXX` for other control characters).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders a float for JSON: non-finite values (a failed point's NaN
@@ -419,28 +405,131 @@ pub fn point_label(p: &SweepPoint) -> String {
     )
 }
 
-/// Folds one job's recovered panics into the failure list.
-fn record_recovered(
+/// The label a sampled sharing group reports under:
+/// `group:<workload>/<family>@<regs>r`.
+fn group_label(spec: &JobSpec) -> String {
+    format!(
+        "group:{}/{}@{}r",
+        spec.workload.name(),
+        group_scheme_label(spec.scheme, spec.physical_regs, &spec.exp),
+        spec.physical_regs
+    )
+}
+
+/// Records a job's recovered store faults at `point`: a degradation note
+/// and a failed deposit, neither of which changes the job's result.
+fn record_store_faults(
     failures: &mut Vec<SweepFailure>,
-    label: &str,
-    stage: &'static str,
-    job: &[par::JobFailure],
+    point: &str,
+    note: &Option<String>,
+    persist_error: &Option<String>,
 ) {
-    for jf in job {
-        failures.push(SweepFailure {
-            point: label.to_string(),
-            stage,
-            error: jf.message.clone(),
-            attempts: jf.attempts,
-            recovered: true,
+    for (stage, error) in [("checkpoint-load", note), ("persist", persist_error)] {
+        if let Some(error) = error {
+            failures.push(SweepFailure {
+                point: point.to_string(),
+                stage,
+                error: error.clone(),
+                attempts: 1,
+                recovered: true,
+            });
+        }
+    }
+}
+
+/// The bookkeeping every stage of one sweep shares.
+struct Stages {
+    workers: usize,
+    start: Instant,
+    progress: Progress,
+    telemetry: RunTelemetry,
+    failures: Vec<SweepFailure>,
+}
+
+impl Stages {
+    /// Runs one pool stage of `(label, job)` pairs and folds the results
+    /// in submission order.
+    ///
+    /// Each job is panic-isolated with [`SWEEP_RETRIES`], matched against
+    /// injected job faults by its label, timed (queue wait from the sweep's
+    /// start, and wall clock) and ticks progress. Recovered panics become
+    /// recovered failures; an exhausted retry budget becomes a terminal
+    /// failure. A success is handed to `fold`, which records the job's own
+    /// notes and names its checkpoint outcome for the telemetry.
+    fn run<T: Sync, R: Send>(
+        &mut self,
+        stage: &'static str,
+        jobs: &[(String, T)],
+        run: impl Fn(&T) -> R + Sync,
+        mut fold: impl FnMut(&mut Vec<SweepFailure>, &str, &T, &R) -> JobOutcome,
+    ) -> Vec<Result<R, par::JobFailure>> {
+        let (start, progress) = (self.start, &self.progress);
+        let indices = (0..jobs.len()).collect();
+        let results = par::par_try_map(self.workers, SWEEP_RETRIES, indices, |_, &i| {
+            let (label, item) = &jobs[i];
+            let queue_wait_s = start.elapsed().as_secs_f64();
+            let started = Instant::now();
+            vpr_snap::faults::maybe_panic_job(label);
+            let value = run(item);
+            progress.point_done();
+            (value, queue_wait_s, started.elapsed().as_secs_f64())
         });
+        let mut out = Vec::with_capacity(jobs.len());
+        for ((label, item), job) in jobs.iter().zip(results) {
+            for jf in &job.recovered {
+                self.failures.push(SweepFailure {
+                    point: label.clone(),
+                    stage,
+                    error: jf.message.clone(),
+                    attempts: jf.attempts,
+                    recovered: true,
+                });
+            }
+            let recovered = job.recovered.len() as u64;
+            out.push(match job.result {
+                Ok((value, queue_wait_s, wall_s)) => {
+                    let outcome = fold(&mut self.failures, label, item, &value);
+                    self.telemetry.push(JobTelemetry {
+                        label: label.clone(),
+                        stage,
+                        queue_wait_s,
+                        wall_s,
+                        outcome,
+                        recovered,
+                    });
+                    Ok(value)
+                }
+                Err(jf) => {
+                    self.telemetry.fault_recoveries += recovered;
+                    self.failures.push(SweepFailure {
+                        point: label.clone(),
+                        stage,
+                        error: jf.message.clone(),
+                        attempts: jf.attempts,
+                        recovered: false,
+                    });
+                    Err(jf)
+                }
+            });
+        }
+        out
     }
 }
 
 /// Runs a sweep in the requested mode and returns per-point metrics in
-/// `points` order. Both modes fan the points out over the worker pool with
-/// the usual submission-order merge, so metrics are byte-identical for any
-/// `exp.jobs`.
+/// `points` order. Every job runs through [`crate::jobs`] on the worker
+/// pool with the usual submission-order merge, so metrics are
+/// byte-identical for any `exp.jobs`.
+///
+/// An exact sweep runs one [`execute_job_with`] job per point. With a
+/// checkpoint directory, points restore their warm checkpoints and
+/// deposit the ones they miss. A sampled sweep first runs one
+/// [`group_pass`] per *sharing group* — (workload, scheme family,
+/// register-file size), not per point: every NRR value of a
+/// virtual-physical family restores the same canonical interval
+/// checkpoints and re-prices only the NRR-dependent state, so an NRR
+/// sweep pays one warm pass per family instead of one per NRR value. Then
+/// it runs one [`sample_job`] per point against its group's set.
 ///
 /// The sweep is **fault-tolerant**: every job is panic-isolated with one
 /// retry, a corrupt checkpoint store degrades to warm-pass regeneration
@@ -452,415 +541,162 @@ pub fn run_sweep_metrics(
     exp: &ExperimentConfig,
     ctx: &SweepContext,
 ) -> SweepMetrics {
-    let mut failures: Vec<SweepFailure> = Vec::new();
-    let store = match &ctx.checkpoint_dir {
-        Some(dir) => {
-            let (store, note) = CheckpointStore::open_resilient(dir);
-            if let Some(note) = note {
-                failures.push(SweepFailure {
-                    point: dir.display().to_string(),
-                    stage: "store-open",
-                    error: note,
-                    attempts: 1,
-                    recovered: true,
-                });
-            }
-            Some(store)
+    let mut failures = Vec::new();
+    let store = ctx.checkpoint_dir.as_ref().map(|dir| {
+        let (store, note) = CheckpointStore::open_resilient(dir);
+        if let Some(error) = note {
+            failures.push(SweepFailure {
+                point: dir.display().to_string(),
+                stage: "store-open",
+                error,
+                attempts: 1,
+                recovered: true,
+            });
         }
-        None => None,
+        Mutex::new(store)
+    });
+    let store = store.as_ref();
+    let specs: Vec<(String, JobSpec)> = points
+        .iter()
+        .map(|p| (point_label(p), JobSpec::new(*p, *exp)))
+        .collect();
+    let plan = ctx.effective_plan(exp);
+
+    // Sampled sharing groups, in first-appearance order.
+    let mut groups: Vec<(String, JobSpec)> = Vec::new();
+    let group_of: Vec<usize> = match plan {
+        None => Vec::new(),
+        Some(_) => specs
+            .iter()
+            .map(|(_, spec)| {
+                let key = spec.group_key();
+                let found = groups.iter().position(|(_, g)| g.group_key() == key);
+                found.unwrap_or_else(|| {
+                    groups.push((group_label(spec), spec.clone()));
+                    groups.len() - 1
+                })
+            })
+            .collect(),
     };
-    let sweep_start = Instant::now();
-    let progress = Progress::new(points.len(), Progress::stderr_is_tty());
-    let progress_ref = &progress;
-    let mut telemetry = RunTelemetry::new(exp.effective_jobs());
-    match ctx.mode {
-        SweepMode::Exact => {
-            let exp_copy = *exp;
-            let store_ref = store.as_ref();
-            let results = par::par_try_map(
-                exp.effective_jobs(),
-                SWEEP_RETRIES,
-                points.to_vec(),
-                |_, p| {
-                    let queue_wait_s = sweep_start.elapsed().as_secs_f64();
-                    let started = Instant::now();
-                    let label = point_label(p);
-                    vpr_snap::faults::maybe_panic_job(&label);
-                    let (stats, note, obs, outcome) = run_benchmark_checkpointed_obs(
-                        p.workload,
-                        p.scheme,
-                        p.physical_regs,
-                        &exp_copy,
-                        store_ref,
-                        SimObserver::new(),
-                    );
-                    progress_ref.point_done();
-                    (
-                        PointMetrics::from_stats(&stats),
-                        note,
-                        Box::new(obs.metrics),
-                        outcome,
-                        queue_wait_s,
-                        started.elapsed().as_secs_f64(),
-                    )
+
+    let mut stages = Stages {
+        workers: exp.effective_jobs(),
+        start: Instant::now(),
+        progress: Progress::new(groups.len() + points.len(), Progress::stderr_is_tty()),
+        telemetry: RunTelemetry::new(exp.effective_jobs()),
+        failures,
+    };
+    let (out, provenance, metrics) = match plan {
+        None => {
+            let mut used_files = Vec::new();
+            let runs = stages.run(
+                "simulate",
+                &specs,
+                |spec| execute_job_with(spec, store, SimObserver::new()),
+                |failures, label, _, run| {
+                    record_store_faults(failures, label, &run.note, &run.persist_error);
+                    if let CheckpointOutcome::Hit(file) = &run.outcome {
+                        used_files.push(file.clone());
+                    }
+                    run.outcome.job_outcome()
                 },
             );
-            let mut out = Vec::with_capacity(points.len());
-            let mut agg = SimMetrics::default();
-            let mut used_files: Vec<String> = Vec::new();
-            for (p, job) in points.iter().zip(results) {
-                let label = point_label(p);
-                record_recovered(&mut failures, &label, "simulate", &job.recovered);
-                let recovered_n = job.recovered.len() as u64;
-                match job.result {
-                    Ok((metrics, note, sim_metrics, outcome, queue_wait_s, wall_s)) => {
-                        if let Some(note) = note {
-                            failures.push(SweepFailure {
-                                point: label.clone(),
-                                stage: "checkpoint-load",
-                                error: note,
-                                attempts: 1,
-                                recovered: true,
-                            });
-                        }
-                        let job_outcome = match outcome {
-                            CheckpointOutcome::Hit(file) => {
-                                used_files.push(file);
-                                JobOutcome::CacheHit
-                            }
-                            CheckpointOutcome::Miss => JobOutcome::CacheMiss,
-                            CheckpointOutcome::NoStore => JobOutcome::NoStore,
-                        };
-                        telemetry.push(JobTelemetry {
-                            label,
-                            stage: "simulate",
-                            queue_wait_s,
-                            wall_s,
-                            outcome: job_outcome,
-                            recovered: recovered_n,
-                        });
-                        agg.merge(*sim_metrics);
-                        out.push(metrics);
-                    }
-                    Err(jf) => {
-                        telemetry.fault_recoveries += recovered_n;
-                        failures.push(SweepFailure {
-                            point: label,
-                            stage: "simulate",
-                            error: jf.message,
-                            attempts: jf.attempts,
-                            recovered: false,
-                        });
-                        out.push(PointMetrics::failed());
-                    }
-                }
-            }
             // Fold this sweep's restores into the store's reuse ledger
-            // (telemetry only — failures to write never affect results).
-            if let Some(store) = &store {
-                let _ = record_usage(&store.dir, &used_files);
+            // (telemetry only: failing to write it never affects results).
+            if let Some(dir) = &ctx.checkpoint_dir {
+                let _ = record_usage(dir, &used_files);
             }
-            telemetry.wall_s = sweep_start.elapsed().as_secs_f64();
-            SweepMetrics {
-                points: out,
-                provenance: SamplingProvenance::Exact,
-                failures,
-                metrics: MetricsBlock::Exact(Box::new(agg)),
-                telemetry,
-            }
-        }
-        SweepMode::Sampled => {
-            let plan = ctx.effective_plan(exp).expect("sampled mode has a plan");
-            let exp_copy = *exp;
-            let store_ref = store.as_ref();
-            // One warm serial pass per *sharing group* — (workload,
-            // scheme family, register-file size) — not per point: every
-            // NRR value of a virtual-physical family restores the same
-            // canonical interval checkpoints and re-prices only the
-            // NRR-dependent state (`Processor::retarget_nrr`), so an NRR
-            // sweep pays one pass per (benchmark, seed, family) instead
-            // of one per NRR value. Groups are keyed by the group scheme
-            // label, which already folds the family together.
-            let mut groups: Vec<SweepPoint> = Vec::new();
-            let group_of: Vec<usize> = points
-                .iter()
-                .map(|p| {
-                    let key = (
-                        p.workload,
-                        group_scheme_label(p.scheme, p.physical_regs, &exp_copy),
-                        p.physical_regs,
-                    );
-                    let found = groups.iter().position(|g| {
-                        (
-                            g.workload,
-                            group_scheme_label(g.scheme, g.physical_regs, &exp_copy),
-                            g.physical_regs,
-                        ) == key
-                    });
-                    found.unwrap_or_else(|| {
-                        groups.push(*p);
-                        groups.len() - 1
-                    })
+            let mut agg = SimMetrics::default();
+            let out = runs
+                .into_iter()
+                .map(|run| match run {
+                    Ok(run) => {
+                        agg.merge(run.obs.metrics);
+                        PointMetrics::from_stats(&run.stats)
+                    }
+                    Err(_) => PointMetrics::failed(),
                 })
                 .collect();
-            let group_label = |g: &SweepPoint| {
-                format!(
-                    "group:{}/{}@{}r",
-                    g.workload.name(),
-                    group_scheme_label(g.scheme, g.physical_regs, &exp_copy),
-                    g.physical_regs
-                )
-            };
-            // Stage 1: load (or generate) each group's interval set. A
-            // corrupt on-disk set has already been quarantined by the
-            // loader; the degradation note is surfaced and the group
-            // regenerates from its warm pass — bit-identical, because the
-            // on-disk artefacts were produced by the very same pass.
-            struct GroupPass {
-                set: Vec<(u64, vpr_snap::Snapshot)>,
-                from_disk: bool,
-                generated: Vec<crate::checkpoints::GeneratedCheckpoint>,
-                note: Option<String>,
-                queue_wait_s: f64,
-                wall_s: f64,
-            }
-            let group_points = groups.clone();
-            let sets: Vec<par::JobResult<GroupPass>> =
-                par::par_try_map(exp.effective_jobs(), SWEEP_RETRIES, groups, |_, g| {
-                    let queue_wait_s = sweep_start.elapsed().as_secs_f64();
-                    let started = Instant::now();
-                    let label = group_label(g);
-                    vpr_snap::faults::maybe_panic_job(&label);
-                    let (loaded, note) = match store_ref {
-                        None => (None, None),
-                        Some(s) => match s.load_group_interval_set(
-                            g.workload,
-                            g.scheme,
-                            g.physical_regs,
-                            &exp_copy,
-                            &plan,
-                        ) {
-                            Ok(set) => (Some(set), None),
-                            // An unpopulated directory is the normal cold
-                            // start, not a fault.
-                            Err(CheckpointLoadError::Manifest(ManifestError::NotFound(_))) => {
-                                (None, None)
-                            }
-                            Err(e) => (None, Some(e.to_string())),
-                        },
-                    };
-                    let (set, from_disk, generated) = match loaded {
-                        Some(set) => (set, true, Vec::new()),
-                        None => {
-                            let generated = generate_group_checkpoints(
-                                g.workload,
-                                g.scheme,
-                                g.physical_regs,
-                                &exp_copy,
-                                Some(&plan),
-                            );
-                            let set = generated
-                                .iter()
-                                .filter(|g| g.key.kind == KIND_INTERVAL)
-                                .map(|g| (g.key.target, g.snapshot.clone()))
-                                .collect();
-                            (set, false, generated)
-                        }
-                    };
-                    GroupPass {
-                        set,
-                        from_disk,
-                        generated,
-                        note,
-                        queue_wait_s,
-                        wall_s: started.elapsed().as_secs_f64(),
-                    }
-                });
-            for (g, job) in group_points.iter().zip(&sets) {
-                let label = group_label(g);
-                record_recovered(&mut failures, &label, "warm-pass", &job.recovered);
-                let recovered_n = job.recovered.len() as u64;
-                match &job.result {
-                    Ok(pass) => {
-                        if let Some(note) = &pass.note {
-                            failures.push(SweepFailure {
-                                point: label.clone(),
-                                stage: "checkpoint-load",
-                                error: note.clone(),
-                                attempts: 1,
-                                recovered: true,
-                            });
-                        }
-                        telemetry.push(JobTelemetry {
-                            label,
-                            stage: "warm-pass",
-                            queue_wait_s: pass.queue_wait_s,
-                            wall_s: pass.wall_s,
-                            outcome: if store_ref.is_none() {
-                                JobOutcome::NoStore
-                            } else if pass.from_disk {
-                                JobOutcome::CacheHit
-                            } else {
-                                JobOutcome::CacheMiss
-                            },
-                            recovered: recovered_n,
-                        });
-                    }
-                    Err(_) => telemetry.fault_recoveries += recovered_n,
-                }
-            }
-            // Stage 2: measure every point against its group's set; each
-            // point's windows run serially inside it (jobs = 1) so the
-            // pool is not nested. Points whose group pass failed get the
-            // failed placeholder without simulating.
-            let sets_ref = &sets;
-            let group_of_ref = &group_of;
-            let outcomes = par::par_try_map(
-                exp.effective_jobs(),
-                SWEEP_RETRIES,
-                points.to_vec(),
-                move |i, p| {
-                    let queue_wait_s = sweep_start.elapsed().as_secs_f64();
-                    let started = Instant::now();
-                    let label = point_label(p);
-                    vpr_snap::faults::maybe_panic_job(&label);
-                    let Ok(pass) = &sets_ref[group_of_ref[i]].result else {
-                        return (
-                            PointMetrics::failed(),
-                            queue_wait_s,
-                            started.elapsed().as_secs_f64(),
-                        );
-                    };
-                    let report = sample_from_checkpoints(
-                        p.workload,
-                        p.scheme,
-                        p.physical_regs,
-                        &exp_copy,
-                        &plan,
-                        &pass.set,
-                        1,
-                    );
-                    progress_ref.point_done();
-                    (
-                        PointMetrics {
-                            ipc: report.ipc(),
-                            miss_ratio: report.miss_ratio(),
-                            executions_per_commit: report.executions_per_commit(),
-                        },
-                        queue_wait_s,
-                        started.elapsed().as_secs_f64(),
-                    )
+            (
+                out,
+                SamplingProvenance::Exact,
+                MetricsBlock::Exact(Box::new(agg)),
+            )
+        }
+        Some(plan) => {
+            let passes = stages.run(
+                "warm-pass",
+                &groups,
+                |spec| group_pass(spec, &plan, store),
+                |failures, label, _, pass| {
+                    record_store_faults(failures, label, &pass.note, &pass.persist_error);
+                    pass.outcome
                 },
             );
-            let mut out = Vec::with_capacity(points.len());
-            let mut group_seen = vec![false; group_points.len()];
-            for (i, (p, job)) in points.iter().zip(outcomes).enumerate() {
-                let label = point_label(p);
-                record_recovered(&mut failures, &label, "sample", &job.recovered);
-                let recovered_n = job.recovered.len() as u64;
-                // The first point of each group "owns" the stage-1 pass
-                // (already counted there); every further point reuses the
-                // shared artefact — the cross-NRR reuse the telemetry
-                // counts.
-                let shared = std::mem::replace(&mut group_seen[group_of_ref[i]], true);
-                match (&sets_ref[group_of_ref[i]].result, job.result) {
-                    // The group's warm pass failed permanently: this
-                    // point never simulated.
-                    (Err(group_failure), _) => {
-                        telemetry.fault_recoveries += recovered_n;
-                        failures.push(SweepFailure {
-                            point: label,
-                            stage: "warm-pass",
-                            error: group_failure.message.clone(),
-                            attempts: group_failure.attempts,
-                            recovered: false,
-                        });
-                        out.push(PointMetrics::failed());
+            // Points whose group pass failed permanently never simulate;
+            // the rest measure against their group's set. The first point
+            // of each group "owns" the pass (counted in the warm-pass
+            // stage); every further one reuses the shared artefact, the
+            // cross-NRR reuse the telemetry counts.
+            let mut seen = vec![false; passes.len()];
+            let mut jobs = Vec::new();
+            for ((label, spec), &g) in specs.into_iter().zip(&group_of) {
+                match &passes[g] {
+                    Ok(pass) => {
+                        let outcome = match std::mem::replace(&mut seen[g], true) {
+                            true => JobOutcome::SharedReuse,
+                            false => JobOutcome::NoStore,
+                        };
+                        jobs.push((label, (spec, pass, outcome)));
                     }
-                    (Ok(_), Ok((metrics, queue_wait_s, wall_s))) => {
-                        telemetry.push(JobTelemetry {
-                            label,
-                            stage: "sample",
-                            queue_wait_s,
-                            wall_s,
-                            outcome: if shared {
-                                JobOutcome::SharedReuse
-                            } else {
-                                JobOutcome::NoStore
-                            },
-                            recovered: recovered_n,
-                        });
-                        out.push(metrics);
-                    }
-                    (Ok(_), Err(jf)) => {
-                        telemetry.fault_recoveries += recovered_n;
-                        failures.push(SweepFailure {
-                            point: label,
-                            stage: "sample",
-                            error: jf.message,
-                            attempts: jf.attempts,
-                            recovered: false,
-                        });
-                        out.push(PointMetrics::failed());
-                    }
+                    Err(group_failure) => stages.failures.push(SweepFailure {
+                        point: label,
+                        stage: "warm-pass",
+                        error: group_failure.message.clone(),
+                        attempts: group_failure.attempts,
+                        recovered: false,
+                    }),
                 }
             }
-            let all_from_disk = sets
+            let mut estimates = stages
+                .run(
+                    "sample",
+                    &jobs,
+                    |(spec, pass, _)| sample_job(spec, &plan, &pass.set),
+                    |_, _, &(_, _, outcome), _| outcome,
+                )
+                .into_iter();
+            let out = group_of
                 .iter()
-                .all(|job| matches!(&job.result, Ok(pass) if pass.from_disk));
-            // Persist freshly generated checkpoints so the next sampled
-            // run reuses the serial passes just paid for. Write failures
-            // never affect results — record and continue.
-            if let Some(mut store) = store {
-                let mut dirty = false;
-                for job in &sets {
-                    let Ok(pass) = &job.result else {
-                        continue;
-                    };
-                    if !pass.generated.is_empty() {
-                        if let Err(e) = store.save_all(&pass.generated) {
-                            failures.push(SweepFailure {
-                                point: store.dir.display().to_string(),
-                                stage: "persist",
-                                error: format!("cannot write checkpoints: {e}"),
-                                attempts: 1,
-                                recovered: true,
-                            });
-                        } else {
-                            dirty = true;
-                        }
-                    }
-                }
-                if dirty {
-                    if let Err(e) = store.flush() {
-                        failures.push(SweepFailure {
-                            point: store.dir.display().to_string(),
-                            stage: "persist",
-                            error: format!("cannot write manifest: {e}"),
-                            attempts: 1,
-                            recovered: true,
-                        });
-                    }
-                }
-            }
-            telemetry.wall_s = sweep_start.elapsed().as_secs_f64();
-            SweepMetrics {
-                points: out,
-                provenance: SamplingProvenance::Sampled {
-                    plan,
-                    estimator: "per-phase-regression",
-                    seeded_from: if all_from_disk {
-                        "checkpoint-dir"
-                    } else {
-                        "warm-pass"
-                    },
-                    checkpoint_dir: ctx.checkpoint_dir.as_ref().map(|d| d.display().to_string()),
+                .map(|&g| match &passes[g] {
+                    Ok(_) => estimates.next().and_then(Result::ok),
+                    Err(_) => None,
+                })
+                .map(|m| m.unwrap_or_else(PointMetrics::failed))
+                .collect();
+            let from_disk = passes
+                .iter()
+                .all(|p| matches!(p, Ok(pass) if pass.outcome == JobOutcome::CacheHit));
+            let provenance = SamplingProvenance::Sampled {
+                plan,
+                estimator: "per-phase-regression",
+                seeded_from: if from_disk {
+                    "checkpoint-dir"
+                } else {
+                    "warm-pass"
                 },
-                failures,
-                metrics: MetricsBlock::SampledUnavailable,
-                telemetry,
-            }
+                checkpoint_dir: ctx.checkpoint_dir.as_ref().map(|d| d.display().to_string()),
+            };
+            (out, provenance, MetricsBlock::SampledUnavailable)
         }
+    };
+    stages.telemetry.wall_s = stages.start.elapsed().as_secs_f64();
+    SweepMetrics {
+        points: out,
+        provenance,
+        failures: stages.failures,
+        metrics,
+        telemetry: stages.telemetry,
     }
 }
 
@@ -892,7 +728,7 @@ mod tests {
         let parallel = run_sweep(&points, &exp);
         let serial: Vec<_> = points
             .iter()
-            .map(|p| run_benchmark(p.workload, p.scheme, p.physical_regs, &exp))
+            .map(|p| crate::run_benchmark(p.workload, p.scheme, p.physical_regs, &exp))
             .collect();
         assert_eq!(parallel, serial, "pool output must merge in point order");
     }

@@ -46,8 +46,8 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders as Markdown (pipes and a separator row), for
-    /// EXPERIMENTS.md.
+    /// Renders as Markdown (pipes and a separator row), for pasting
+    /// results into documentation.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("| {} |\n", self.headers.join(" | ")));

@@ -12,7 +12,9 @@ use std::collections::VecDeque;
 ///
 /// The list enforces the central renaming invariants: a register is never
 /// handed out twice without an intervening release and never released
-/// twice (see DESIGN.md §7).
+/// twice. Either would let two in-flight values share one register and
+/// silently corrupt the dataflow, so a double free always panics and a
+/// double hand-out panics in debug builds.
 #[derive(Debug, Clone)]
 pub struct FreeList {
     free: VecDeque<u16>,

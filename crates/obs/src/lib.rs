@@ -41,7 +41,7 @@ pub mod service;
 pub mod telemetry;
 pub mod trace;
 
-pub use metrics::{Histogram, MetricValue, Registry, SimMetrics};
+pub use metrics::{json_escape, Histogram, MetricValue, Registry, SimMetrics};
 pub use progress::Progress;
 pub use service::ServeMetrics;
 pub use telemetry::{JobOutcome, JobTelemetry, RunTelemetry};

@@ -135,6 +135,28 @@ impl Histogram {
     }
 }
 
+/// Escapes a string for embedding in a JSON string literal: `\"`, `\\`,
+/// `\n`, `\r`, `\t`, and `\uXXXX` for the other control characters (the
+/// escapes the workspace's hand-rolled readers understand). The one
+/// escaper every crate's JSON writers use.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Formats an `f64` for JSON (finite shortest-roundtrip; non-finite
 /// becomes `null`, matching the bench crate's convention).
 pub fn json_f64(v: f64) -> String {
@@ -515,6 +537,21 @@ impl SimMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escape_covers_quotes_backslash_and_control_characters() {
+        for (raw, escaped) in [
+            ("plain", "plain"),
+            ("say \"hi\"", "say \\\"hi\\\""),
+            ("a\\b", "a\\\\b"),
+            ("line\nbreak", "line\\nbreak"),
+            ("cr\rlf", "cr\\rlf"),
+            ("tab\there", "tab\\there"),
+            ("bell\u{1}", "bell\\u0001"),
+        ] {
+            assert_eq!(json_escape(raw), escaped, "{raw:?}");
+        }
+    }
 
     #[test]
     fn bucket_bounds_are_log2() {

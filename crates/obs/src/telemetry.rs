@@ -9,7 +9,7 @@
 //! data and is *not* expected to be byte-identical across runs, which is
 //! why it lives in its own file rather than inside the experiment JSON.
 
-use crate::metrics::json_f64;
+use crate::metrics::{json_escape, json_f64};
 use std::fmt::Write as _;
 
 /// How a sweep job interacted with the checkpoint cache.
@@ -151,7 +151,7 @@ impl RunTelemetry {
                 s,
                 "    {{\"label\": \"{}\", \"stage\": \"{}\", \"queue_wait_s\": {}, \
                  \"wall_s\": {}, \"checkpoint\": \"{}\", \"recovered\": {}}}",
-                escape(&p.label),
+                json_escape(&p.label),
                 p.stage,
                 json_f64(p.queue_wait_s),
                 json_f64(p.wall_s),
@@ -167,22 +167,6 @@ impl RunTelemetry {
         s.push_str("  ]\n}\n");
         s
     }
-}
-
-/// Minimal JSON string escaping (labels are benign, but stay correct).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

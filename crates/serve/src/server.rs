@@ -676,14 +676,10 @@ fn complete_job(
         eprintln!("vpr-serve: done-record append failed for job {id}: {e}");
     }
     inner.counters.completed.fetch_add(1, Ordering::Relaxed);
-    let telemetry_outcome = match output.outcome {
-        CheckpointOutcome::Hit(_) => {
-            inner.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            JobOutcome::CacheHit
-        }
-        CheckpointOutcome::Miss => JobOutcome::CacheMiss,
-        CheckpointOutcome::NoStore => JobOutcome::NoStore,
-    };
+    let telemetry_outcome = output.outcome.job_outcome();
+    if telemetry_outcome == JobOutcome::CacheHit {
+        inner.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
+    }
     let mut telemetry = lock(&inner.telemetry);
     telemetry.push(JobTelemetry {
         label: label.to_string(),

@@ -2,11 +2,14 @@
 //!
 //! The paper drives its simulator with Atom-instrumented Alpha traces of
 //! nine SPEC95 benchmarks. Those traces cannot be regenerated here, so
-//! this crate provides the substitution described in DESIGN.md §4:
-//! deterministic synthetic models, one per benchmark, that reproduce the
-//! four workload properties the renaming schemes are sensitive to —
-//! instruction mix, dependence-chain depth, working-set size (cache-miss
-//! exposure) and branch predictability.
+//! this crate substitutes deterministic synthetic models, one per
+//! benchmark, that reproduce the four workload properties the renaming
+//! schemes are sensitive to — instruction mix, dependence-chain depth,
+//! working-set size (cache-miss exposure) and branch predictability. The
+//! schemes see a workload only through when values are produced and
+//! consumed, which those four axes decide; so absolute IPC differs from
+//! the paper, but the relative claims carry over (`tests/paper_claims.rs`
+//! pins them).
 //!
 //! * [`Benchmark`] — the nine-program suite, with the paper's reference
 //!   IPC numbers attached;

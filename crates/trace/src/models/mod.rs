@@ -4,9 +4,10 @@
 //! traces. Those traces are not reproducible here, so each benchmark is
 //! replaced by a *synthetic model*: a small static program whose
 //! instruction mix, dependence-chain depth, working-set size and branch
-//! predictability match the published characteristics of the benchmark
-//! (see DESIGN.md §4 for the substitution argument). The renaming schemes
-//! under study only observe those four axes.
+//! predictability match the published characteristics of the benchmark.
+//! The renaming schemes under study only observe those four axes, because
+//! they react only to when values are produced and consumed (the
+//! substitution argument of the crate docs).
 //!
 //! Models are deliberately simple — a handful of parameterised loops — and
 //! deterministic given a seed.

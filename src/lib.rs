@@ -63,8 +63,7 @@
 //! `crates/core/tests/proptest_kernel.rs` that check the kernel structures
 //! against simple reference models. Track the perf trajectory with
 //! `cargo run --release -p vpr-bench --bin throughput` (writes
-//! `BENCH_throughput.json`) or `cargo bench -p vpr-bench --bench throughput`;
-//! the swap from map-based structures to this kernel raised the quick
+//! `BENCH_throughput.json`); the swap from map-based structures to this kernel raised the quick
 //! table2 workload from ~1.9 to ~4.5 harmonic-mean sim-MIPS (≈2.4×) on the
 //! reference container.
 #![forbid(unsafe_code)]

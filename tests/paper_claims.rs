@@ -1,18 +1,26 @@
 //! End-to-end checks of the paper's qualitative claims on the synthetic
-//! suite (scaled-down runs; the full-size numbers live in EXPERIMENTS.md).
+//! suite, on scaled-down runs. The full-size numbers come from the
+//! `table2`/`fig4`–`fig7` binaries; where this reproduction departs from
+//! the paper, the comment at the check says how.
 
 use vpr::core::{harmonic_mean, Processor, RenameScheme, SimConfig};
 use vpr::trace::{Benchmark, TraceBuilder};
 
-fn ipc(b: Benchmark, scheme: RenameScheme, regs: usize) -> f64 {
-    let config = SimConfig::builder()
-        .scheme(scheme)
-        .physical_regs(regs)
-        .build();
+fn ipc_of(config: SimConfig, b: Benchmark) -> f64 {
     let trace = TraceBuilder::new(b).seed(42).build();
     let mut cpu = Processor::new(config, trace);
     cpu.warm_up(5_000);
     cpu.run(40_000).ipc()
+}
+
+fn ipc(b: Benchmark, scheme: RenameScheme, regs: usize) -> f64 {
+    ipc_of(
+        SimConfig::builder()
+            .scheme(scheme)
+            .physical_regs(regs)
+            .build(),
+        b,
+    )
 }
 
 #[test]
@@ -139,10 +147,10 @@ fn vp48_comparable_to_conventional_64() {
 #[test]
 fn tiny_nrr_hurts_fp_programs_under_scarcity() {
     // Figure 4: "very small values of NRR are not adequate for any FP
-    // programs". In our reproduction the FP file only becomes genuinely
-    // scarce at 48 registers (see EXPERIMENTS.md on this deviation), so
-    // the claim is checked there: NRR=1 must underperform the maximum
-    // NRR (16 at 48 registers).
+    // programs". In this reproduction the synthetic FP programs hold
+    // fewer registers live than the paper's, so the FP file only becomes
+    // genuinely scarce at 48 registers, and the claim is checked there:
+    // NRR=1 must underperform the maximum NRR (16 at 48 registers).
     for b in [Benchmark::Swim, Benchmark::Apsi] {
         let small = ipc(b, RenameScheme::VirtualPhysicalWriteback { nrr: 1 }, 48);
         let large = ipc(b, RenameScheme::VirtualPhysicalWriteback { nrr: 16 }, 48);
@@ -166,5 +174,66 @@ fn tiny_nrr_hurts_fp_programs_under_scarcity() {
     assert!(
         large >= small,
         "hydro2d: NRR=32 should not lose to NRR=1 ({large:.2} vs {small:.2})"
+    );
+}
+
+#[test]
+fn vp_commit_delay_cannot_help() {
+    // §3.2.2: the optional extra cycle for the PMT look-up at commit can
+    // only cost IPC (2% slack for the reduced run's noise).
+    let fast = SimConfig::builder()
+        .scheme(RenameScheme::VirtualPhysicalWriteback { nrr: 32 })
+        .build();
+    let mut delayed = fast.clone();
+    delayed.vp_commit_delay = true;
+    let (fast, slow) = (
+        ipc_of(fast, Benchmark::Swim),
+        ipc_of(delayed, Benchmark::Swim),
+    );
+    assert!(
+        slow <= fast * 1.02,
+        "the commit delay cannot help: {slow:.3} vs {fast:.3}"
+    );
+}
+
+#[test]
+fn early_release_and_writeback_do_not_lose_to_conventional() {
+    // §3.1's two waste intervals: early release removes the tail (read
+    // to next writer's commit), write-back allocation the head (decode
+    // to write-back). Neither may lose to the conventional scheme on the
+    // register-hungry benchmarks (early release within 2%).
+    for b in [Benchmark::Swim, Benchmark::Apsi, Benchmark::Vortex] {
+        let conv = ipc(b, RenameScheme::Conventional, 64);
+        let early = ipc(b, RenameScheme::ConventionalEarlyRelease, 64);
+        let wb = ipc(b, RenameScheme::VirtualPhysicalWriteback { nrr: 32 }, 64);
+        assert!(
+            early >= conv * 0.98,
+            "{b}: early release lost to conventional ({early:.2} vs {conv:.2})"
+        );
+        assert!(
+            wb >= conv,
+            "{b}: write-back lost to conventional ({wb:.2} vs {conv:.2})"
+        );
+    }
+}
+
+#[test]
+fn a_cheaper_miss_shrinks_the_vp_speedup() {
+    // Table 2's sensitivity point: with a 20-cycle instead of a 50-cycle
+    // miss the mean improvement drops from 19% to 12%.
+    let speedup = |miss_penalty: u64| {
+        let at = |scheme| {
+            let config = SimConfig::builder()
+                .scheme(scheme)
+                .miss_penalty(miss_penalty)
+                .build();
+            ipc_of(config, Benchmark::Swim)
+        };
+        at(RenameScheme::VirtualPhysicalWriteback { nrr: 32 }) / at(RenameScheme::Conventional)
+    };
+    let (s50, s20) = (speedup(50), speedup(20));
+    assert!(
+        s20 < s50,
+        "a cheaper miss must shrink the VP advantage: {s20:.2} vs {s50:.2}"
     );
 }

@@ -1,6 +1,8 @@
 //! Property-based tests over randomly generated programs and machine
-//! configurations: the simulator must uphold its invariants (DESIGN.md §7)
-//! for *any* workload, not just the nine benchmark models.
+//! configurations: the simulator must uphold its invariants (every
+//! program completes without deadlock, all schemes commit the same
+//! stream, and generated traces are coherent) for *any* workload, not just
+//! the nine benchmark models.
 
 use proptest::prelude::*;
 use vpr::core::{Processor, RenameScheme, SimConfig};

@@ -1,6 +1,6 @@
-//! Cross-scheme architectural agreement: all three renaming schemes must
-//! commit exactly the same instruction stream — only timing may differ
-//! (DESIGN.md invariant 5).
+//! Cross-scheme architectural agreement: all renaming schemes must commit
+//! exactly the same instruction stream — only timing may differ. Renaming
+//! decides *when* an instruction may run, never *what* it computes.
 
 use vpr::core::{Processor, RenameScheme, SimConfig, SimStats};
 use vpr::trace::{Benchmark, TraceBuilder};
