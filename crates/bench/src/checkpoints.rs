@@ -22,12 +22,13 @@
 //! continuing each restored machine and comparing against a fresh
 //! uninterrupted run).
 
-use crate::sampling::SamplingPlan;
+use crate::sampling::{MeasuredWindow, SamplingPlan};
 use crate::workloads::scheme_label;
 use crate::workloads::{Workload, WorkloadStream};
 use crate::ExperimentConfig;
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use vpr_core::{PipeObserver, Processor, RenameScheme, SimConfig};
+use vpr_core::{PipeObserver, Processor, RenameScheme, SimConfig, SimStats};
 use vpr_obs::JobOutcome;
 use vpr_snap::manifest::{CheckpointKey, Manifest, ManifestEntry, ManifestError};
 use vpr_snap::{Snap as _, Snapshot};
@@ -298,10 +299,9 @@ impl GeneratedCheckpoint {
 /// (`exp.warmup`, kind [`KIND_WARM`]) and — when a sampling plan is given —
 /// at each of the plan's interval starts (kind [`KIND_INTERVAL`]).
 ///
-/// The pass is the plain uninterrupted simulation, paused via
-/// [`Processor::checkpoint_at_commits`]; restored continuations are
-/// therefore bit-identical to never having paused (the contract
-/// `tests/snapshot_roundtrip.rs` pins).
+/// The pass is the plain uninterrupted simulation, paused at each
+/// position; restored continuations are therefore bit-identical to never
+/// having paused (the contract `tests/snapshot_roundtrip.rs` pins).
 pub fn generate_checkpoints(
     workload: impl Into<Workload>,
     scheme: RenameScheme,
@@ -318,6 +318,7 @@ pub fn generate_checkpoints(
         exp,
         plan,
     )
+    .0
 }
 
 /// Runs the **group** (canonical-configuration) warm serial pass for
@@ -332,6 +333,20 @@ pub fn generate_group_checkpoints(
     exp: &ExperimentConfig,
     plan: Option<&SamplingPlan>,
 ) -> Vec<GeneratedCheckpoint> {
+    generate_group_pass(workload, scheme, physical_regs, exp, plan).0
+}
+
+/// [`generate_group_checkpoints`] plus the interval windows the pass
+/// recorded on its way (see [`generate_checkpoints_for`]): what a sampled
+/// sweep's cold group pass keeps, so points at the group's own
+/// configuration estimate without restoring anything.
+pub(crate) fn generate_group_pass(
+    workload: impl Into<Workload>,
+    scheme: RenameScheme,
+    physical_regs: usize,
+    exp: &ExperimentConfig,
+    plan: Option<&SamplingPlan>,
+) -> (Vec<GeneratedCheckpoint>, Vec<MeasuredWindow>) {
     let config = group_config(scheme, physical_regs, exp);
     generate_checkpoints_for(
         workload.into(),
@@ -343,6 +358,19 @@ pub fn generate_group_checkpoints(
     )
 }
 
+/// The one warm serial pass behind every `generate_*` function. Besides
+/// the checkpoints, it records each interval's detailed window as it
+/// passes through it: from the interval checkpoint's achieved position
+/// `begin` to the first cycle boundary with `committed ≥ begin +
+/// plan.detailed_per_interval()`, the statistics accumulated in between.
+/// A window restored from the checkpoint runs to the same boundary, so by
+/// the snapshot contract it is the same slice with the same statistics
+/// ([`crate::sampling::measure_windows`]).
+///
+/// With a plan the pass continues to the last window's end. Commit-width
+/// overshoot can push a window's end past the next interval start, so the
+/// pass advances to the nearer of the next checkpoint position and the
+/// next pending window end, never past either.
 fn generate_checkpoints_for(
     workload: Workload,
     config: SimConfig,
@@ -350,7 +378,7 @@ fn generate_checkpoints_for(
     physical_regs: usize,
     exp: &ExperimentConfig,
     plan: Option<&SamplingPlan>,
-) -> Vec<GeneratedCheckpoint> {
+) -> (Vec<GeneratedCheckpoint>, Vec<MeasuredWindow>) {
     let hash = config_hash(workload, &config, exp.seed);
     // Sorted unique targets, each mapping to the kinds checkpointed there.
     let mut targets: Vec<(u64, Vec<&str>)> = vec![(exp.warmup, vec![KIND_WARM])];
@@ -363,24 +391,52 @@ fn generate_checkpoints_for(
         }
     }
     targets.sort_by_key(|(t, _)| *t);
-    let positions: Vec<u64> = targets.iter().map(|(t, _)| *t).collect();
+    let window = plan.map_or(0, SamplingPlan::detailed_per_interval);
 
     let mut cpu = Processor::new(config, workload.stream(exp.seed));
     let mut out = Vec::new();
-    let mut at = 0usize;
-    cpu.checkpoint_at_commits(&positions, |cpu, target| {
-        let key = |kind: &str| {
-            checkpoint_key_labelled(workload, label.clone(), physical_regs, exp, kind, target)
+    let mut windows = Vec::new();
+    // Open windows, oldest first: (begin, end target, statistics at begin).
+    let mut open: VecDeque<(u64, u64, SimStats)> = VecDeque::new();
+    let mut next = targets.iter().peekable();
+    loop {
+        let stop = match (next.peek(), open.front()) {
+            (None, None) => break,
+            (Some((t, _)), None) => *t,
+            (None, Some(w)) => w.1,
+            (Some((t, _)), Some(w)) => (*t).min(w.1),
         };
-        let kinds = &targets[at].1;
-        let taken = GeneratedCheckpoint::capture(cpu, key(kinds[0]), hash);
-        out.extend(kinds.iter().map(|kind| GeneratedCheckpoint {
-            key: key(kind),
-            ..taken.clone()
-        }));
-        at += 1;
-    });
-    out
+        cpu.run_to_commit(stop);
+        let committed = cpu.absolute_committed();
+        // A drained trace reaches every position it will ever reach.
+        let reached = |target: u64| committed >= target || cpu.is_done();
+        while open.front().is_some_and(|w| reached(w.1)) {
+            let (begin, _, at_begin) = open.pop_front().expect("front checked");
+            windows.push(MeasuredWindow {
+                begin,
+                end: committed,
+                stats: cpu.stats().minus(&at_begin),
+            });
+        }
+        if let Some((target, kinds)) = next.next_if(|(t, _)| reached(*t)) {
+            let key = |kind: &str| {
+                checkpoint_key_labelled(workload, label.clone(), physical_regs, exp, kind, *target)
+            };
+            let first = out.len();
+            out.push(GeneratedCheckpoint::capture(&cpu, key(kinds[0]), hash));
+            for kind in &kinds[1..] {
+                let copy = GeneratedCheckpoint {
+                    key: key(kind),
+                    ..out[first].clone()
+                };
+                out.push(copy);
+            }
+            if kinds.contains(&KIND_INTERVAL) {
+                open.push_back((committed, committed + window, cpu.stats()));
+            }
+        }
+    }
+    (out, windows)
 }
 
 /// A checkpoint directory opened for reading: the manifest plus the path
@@ -768,6 +824,54 @@ mod tests {
         let from_checkpoint = restored.run(exp.measure);
         let reference = crate::run_benchmark(Benchmark::Swim, RenameScheme::Conventional, 64, &exp);
         assert_eq!(from_checkpoint, reference);
+    }
+
+    /// The windows a group pass records are the ones a restore from its
+    /// own checkpoints measures: same span, every counter equal. The
+    /// zero-slack plan tiles the region with 16-commit windows, so
+    /// commit-width overshoot runs windows past the next checkpoint.
+    #[test]
+    fn recorded_windows_equal_restored_windows() {
+        let exp = quick();
+        let tiled = SamplingPlan {
+            offset: exp.warmup,
+            region: 24 * 16,
+            intervals: 24,
+            detailed_warmup: 0,
+            detailed_measure: 16,
+            functional_window: None,
+        };
+        let plans = [SamplingPlan::for_experiment_checkpointed(&exp), tiled];
+        let workloads = [
+            Workload::from(Benchmark::Swim),
+            Workload::parse("asm:matmul").unwrap(),
+        ];
+        let mut overlapped = false;
+        for workload in workloads {
+            for scheme in crate::workloads::THROUGHPUT_SCHEMES {
+                assert_eq!(sim_config(scheme, 64, &exp), group_config(scheme, 64, &exp));
+                for plan in &plans {
+                    let (generated, recorded) =
+                        generate_group_pass(workload, scheme, 64, &exp, Some(plan));
+                    let set: Vec<(u64, Snapshot)> = generated
+                        .into_iter()
+                        .filter(|g| g.key.kind == KIND_INTERVAL)
+                        .map(|g| (g.key.target, g.snapshot))
+                        .collect();
+                    let what = format!("{} {scheme:?} {plan:?}", workload.name());
+                    let restored =
+                        crate::sampling::measure_windows(workload, scheme, &exp, plan, &set, 1);
+                    assert_eq!(recorded, restored, "{what}");
+                    let report = crate::sampling::sample_from_checkpoints(
+                        workload, scheme, 64, &exp, plan, &set, 1,
+                    );
+                    let stats: Vec<&SimStats> = report.windows.iter().map(|w| &w.stats).collect();
+                    assert_eq!(stats, recorded.iter().map(|w| &w.stats).collect::<Vec<_>>());
+                    overlapped |= recorded.windows(2).any(|w| w[0].end > w[1].begin);
+                }
+            }
+        }
+        assert!(overlapped, "the zero-slack plan overlaps some window");
     }
 
     #[test]

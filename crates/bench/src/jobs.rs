@@ -10,7 +10,8 @@
 //! * [`execute_job_with`] runs one exact point under a lifecycle observer;
 //!   [`execute_job`] is its [`NoObs`] case, the one the daemon calls.
 //! * [`group_pass`] gives a sampled sweep's sharing group its interval
-//!   checkpoints, and [`sample_job`] estimates one point from them.
+//!   checkpoints (plus, when its warm pass ran here, the windows the pass
+//!   recorded), and [`sample_job`] estimates one point from them.
 //!
 //! With a store, an exact job restores its warm checkpoint when present;
 //! otherwise it simulates the warm-up, **deposits** the checkpoint and
@@ -29,10 +30,12 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::checkpoints::{
-    checkpoint_key, config_hash, generate_group_checkpoints, group_scheme_label, sim_config,
+    checkpoint_key, config_hash, generate_group_pass, group_config, group_scheme_label, sim_config,
     CheckpointOutcome, CheckpointStore, GeneratedCheckpoint, KIND_INTERVAL, KIND_WARM,
 };
-use crate::sampling::{sample_from_checkpoints, SamplingPlan};
+use crate::sampling::{
+    estimate_from_windows, sample_from_checkpoints, MeasuredWindow, SamplingPlan,
+};
 use crate::sweep::{json_escape, json_num, point_label, PointMetrics, SweepPoint};
 use crate::workloads::{parse_scheme, scheme_label, Workload, WorkloadStream};
 use crate::ExperimentConfig;
@@ -358,6 +361,9 @@ pub fn execute_job(spec: &JobSpec, store: Option<&Mutex<CheckpointStore>>) -> Jo
 pub struct GroupPass {
     /// `(interval start, snapshot)` pairs, in interval order.
     pub set: Vec<(u64, Snapshot)>,
+    /// The interval windows the group's warm pass recorded, when the set
+    /// was generated in this process; `None` when it was loaded.
+    pub windows: Option<Vec<MeasuredWindow>>,
     /// [`JobOutcome::CacheHit`] when the set was loaded from the store.
     pub outcome: JobOutcome,
     /// Why a present set could not be used, if one could not.
@@ -370,10 +376,11 @@ pub struct GroupPass {
 /// (every NRR value of a virtual-physical family restores the same
 /// canonical set; see [`crate::checkpoints::group_config`]). With a store
 /// the set is loaded when valid; otherwise the group's warm serial pass
-/// generates it and the pass's checkpoints are deposited. A corrupt
-/// on-disk set has already been quarantined by the loader, and the
-/// regenerated set is bit-identical, because the on-disk artefacts came
-/// from the very same pass.
+/// generates it, recording every interval window on the way, and the
+/// pass's checkpoints are deposited. A corrupt on-disk set has already
+/// been quarantined by the loader, and the regenerated set is
+/// bit-identical, because the on-disk artefacts came from the very same
+/// pass.
 pub fn group_pass(
     spec: &JobSpec,
     plan: &SamplingPlan,
@@ -386,6 +393,7 @@ pub fn group_pass(
             Ok(set) => {
                 return GroupPass {
                     set,
+                    windows: None,
                     outcome: JobOutcome::CacheHit,
                     note: None,
                     persist_error: None,
@@ -394,36 +402,38 @@ pub fn group_pass(
             Err(e) => note = e.note(),
         }
     }
-    let generated = generate_group_checkpoints(workload, scheme, regs, exp, Some(plan));
-    let set = generated
-        .iter()
-        .filter(|g| g.key.kind == KIND_INTERVAL)
-        .map(|g| (g.key.target, g.snapshot.clone()))
-        .collect();
+    let (generated, windows) = generate_group_pass(workload, scheme, regs, exp, Some(plan));
+    let persist_error = store.and_then(|store| deposit(store, &generated));
     GroupPass {
-        set,
+        set: generated
+            .into_iter()
+            .filter(|g| g.key.kind == KIND_INTERVAL)
+            .map(|g| (g.key.target, g.snapshot))
+            .collect(),
+        windows: Some(windows),
         outcome: match store {
             Some(_) => JobOutcome::CacheMiss,
             None => JobOutcome::NoStore,
         },
         note,
-        persist_error: store.and_then(|store| deposit(store, &generated)),
+        persist_error,
     }
 }
 
-/// Estimates one sampled point from its group's interval set (see
-/// [`group_pass`]). The windows run serially, so a sweep's pool is never
+/// Estimates one sampled point from its group's pass (see [`group_pass`]).
+/// A point at the group's own configuration estimates from the windows the
+/// pass recorded, when it recorded them, and restores nothing: they are
+/// the windows a restore would measure, bit for bit. Otherwise, on a store
+/// hit or for an NRR re-targeted from the canonical pass, every window is
+/// restored from the set and measured serially, so a sweep's pool is never
 /// nested.
-pub fn sample_job(spec: &JobSpec, plan: &SamplingPlan, set: &[(u64, Snapshot)]) -> PointMetrics {
-    let report = sample_from_checkpoints(
-        spec.workload,
-        spec.scheme,
-        spec.physical_regs,
-        &spec.exp,
-        plan,
-        set,
-        1,
-    );
+pub fn sample_job(spec: &JobSpec, plan: &SamplingPlan, pass: &GroupPass) -> PointMetrics {
+    let (workload, scheme, regs, exp) = (spec.workload, spec.scheme, spec.physical_regs, &spec.exp);
+    let own = sim_config(scheme, regs, exp) == group_config(scheme, regs, exp);
+    let report = match &pass.windows {
+        Some(windows) if own => estimate_from_windows(workload, scheme, regs, exp, plan, windows),
+        _ => sample_from_checkpoints(workload, scheme, regs, exp, plan, &pass.set, 1),
+    };
     PointMetrics {
         ipc: report.ipc(),
         miss_ratio: report.miss_ratio(),

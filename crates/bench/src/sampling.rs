@@ -41,9 +41,11 @@
 //! * **Checkpoint seeded** ([`sample_from_checkpoints`]): intervals
 //!   restore the **exact** machine state of the uninterrupted run from
 //!   `.vprsnap` interval checkpoints written by one warm serial *detailed*
-//!   pass (`vpr_bench::checkpoints`, `Processor::checkpoint_at_commits`).
-//!   Windows are then true slices of the full run — no warm-up, no bias —
-//!   and only gap extrapolation remains. The **per-phase regression
+//!   pass (`vpr_bench::checkpoints`). Windows are then true slices of the
+//!   full run — no warm-up, no bias — and only gap extrapolation remains;
+//!   the pass records each window as it runs through it, so a cold run at
+//!   the pass's own configuration measures nothing twice
+//!   (`estimate_from_windows`). The **per-phase regression
 //!   estimator** ([`CheckpointedReport::ipc`]) fits window CPI on each
 //!   span's exact per-phase instruction composition plus its functional
 //!   miss/misprediction rates, and prices every unmeasured gap from its
@@ -788,13 +790,32 @@ fn profile_spans(
     out
 }
 
+/// One detailed window of a checkpoint-seeded estimate: the committed
+/// span `[begin, end)` it covered and its exact statistics. `begin` is the
+/// interval checkpoint's achieved position and `end` the first cycle
+/// boundary at or past `begin + plan.detailed_per_interval()`. A window
+/// restored from its checkpoint and one recorded by the warm pass that
+/// took the checkpoint (`vpr_bench::checkpoints`) are the same slice of
+/// the same run, bit for bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MeasuredWindow {
+    /// Committed-instruction position the window starts at.
+    pub begin: u64,
+    /// Committed-instruction position the window ends at.
+    pub end: u64,
+    /// Detailed statistics of the window.
+    pub stats: SimStats,
+}
+
 /// Runs a **checkpoint-seeded** sampled estimate: every interval restores
 /// the exact machine state of the uninterrupted run from its checkpoint
 /// (`checkpoints[i] = (interval start, snapshot)`, as produced by
 /// `vpr_bench::checkpoints::generate_checkpoints` or loaded from a
 /// `.vprsnap` directory) and simulates only the measured window — no
 /// functional re-warming, no discarded detailed warm-up. Window runs fan
-/// out over [`vpr_core::par`] with submission-order determinism.
+/// out over [`vpr_core::par`] with submission-order determinism. The
+/// estimate is then built from the windows exactly as from the windows a
+/// group pass recorded (`estimate_from_windows`).
 ///
 /// # Panics
 ///
@@ -811,21 +832,34 @@ pub fn sample_from_checkpoints(
     jobs: usize,
 ) -> CheckpointedReport {
     let workload = workload.into();
+    let windows = measure_windows(workload, scheme, exp, plan, checkpoints, jobs);
+    estimate_from_windows(workload, scheme, physical_regs, exp, plan, &windows)
+}
+
+/// The restore-and-measure half of [`sample_from_checkpoints`].
+pub(crate) fn measure_windows(
+    workload: impl Into<Workload>,
+    scheme: RenameScheme,
+    exp: &ExperimentConfig,
+    plan: &SamplingPlan,
+    checkpoints: &[(u64, vpr_snap::Snapshot)],
+    jobs: usize,
+) -> Vec<MeasuredWindow> {
+    let workload = workload.into();
     plan.validate();
     assert_eq!(
         checkpoints.len(),
         plan.intervals,
         "need one checkpoint per interval"
     );
-    let config = crate::checkpoints::sim_config(scheme, physical_regs, exp);
-    let measure = plan.detailed_warmup + plan.detailed_measure;
-    let windows: Vec<(u64, u64, SimStats)> = par::par_map(
+    let measure = plan.detailed_per_interval();
+    par::par_map(
         jobs.max(1),
-        checkpoints.to_vec(),
+        checkpoints.iter().collect(),
         move |_, (_, snapshot)| {
             let fresh = workload.stream(exp.seed);
             let mut cpu: Processor<WorkloadStream> =
-                Processor::restore(&snapshot, fresh).expect("interval checkpoint restores");
+                Processor::restore(snapshot, fresh).expect("interval checkpoint restores");
             // Shared (canonical-NRR) checkpoints serve every NRR value of
             // their scheme family: re-price the NRR-dependent state for
             // the target configuration before measuring. Non-shared
@@ -858,9 +892,29 @@ pub fn sample_from_checkpoints(
             let begin = cpu.absolute_committed();
             cpu.reset_window();
             let stats = cpu.run(measure);
-            (begin, cpu.absolute_committed(), stats)
+            MeasuredWindow {
+                begin,
+                end: cpu.absolute_committed(),
+                stats,
+            }
         },
-    );
+    )
+}
+
+/// Builds a checkpoint-seeded estimate from its measured windows (in
+/// interval order): the gap spans between them, one functional
+/// `profile_spans` pass over windows and gaps, and the report whose
+/// per-phase regression prices the gaps.
+pub(crate) fn estimate_from_windows(
+    workload: impl Into<Workload>,
+    scheme: RenameScheme,
+    physical_regs: usize,
+    exp: &ExperimentConfig,
+    plan: &SamplingPlan,
+    windows: &[MeasuredWindow],
+) -> CheckpointedReport {
+    let workload = workload.into();
+    let config = crate::checkpoints::sim_config(scheme, physical_regs, exp);
     // Span accounting: windows are exact slices of the uninterrupted run;
     // the gaps between them (and the tail out to the region end) are what
     // the estimator predicts. Consecutive windows can overlap by up to
@@ -868,14 +922,12 @@ pub fn sample_from_checkpoints(
     // past the next checkpoint's achieved start — the overlapped commits
     // are counted in both windows (numerator and denominator alike, a
     // ≤0.1 % effect at quick scale), and the gap in between is empty.
-    let region_end = (plan.offset + plan.region).max(windows.last().map_or(0, |w| w.1));
+    let region_end = (plan.offset + plan.region).max(windows.last().map_or(0, |w| w.end));
     let mut gap_spans = Vec::with_capacity(windows.len());
-    for (i, &(_, end, _)) in windows.iter().enumerate() {
-        let next_begin = windows
-            .get(i + 1)
-            .map_or(region_end, |&(begin, _, _)| begin);
-        if next_begin > end {
-            gap_spans.push((end, next_begin));
+    for (i, w) in windows.iter().enumerate() {
+        let next_begin = windows.get(i + 1).map_or(region_end, |n| n.begin);
+        if next_begin > w.end {
+            gap_spans.push((w.end, next_begin));
         }
     }
     // One functional pass profiles windows and gaps together: label the
@@ -883,7 +935,7 @@ pub fn sample_from_checkpoints(
     // out afterwards (ordering within each class is preserved).
     let mut labelled: Vec<(u64, u64, bool)> = windows
         .iter()
-        .map(|&(b, e, _)| (b, e, false))
+        .map(|w| (w.begin, w.end, false))
         .chain(gap_spans.iter().map(|&(b, e)| (b, e, true)))
         .collect();
     labelled.sort_unstable();
@@ -903,7 +955,10 @@ pub fn sample_from_checkpoints(
         windows: window_profiles
             .into_iter()
             .zip(windows)
-            .map(|(span, (_, _, stats))| CheckpointedSample { span, stats })
+            .map(|(span, w)| CheckpointedSample {
+                span,
+                stats: w.stats.clone(),
+            })
             .collect(),
         gaps: gap_profiles,
     }

@@ -529,7 +529,7 @@ impl Stages {
 /// virtual-physical family restores the same canonical interval
 /// checkpoints and re-prices only the NRR-dependent state, so an NRR
 /// sweep pays one warm pass per family instead of one per NRR value. Then
-/// it runs one [`sample_job`] per point against its group's set.
+/// it runs one [`sample_job`] per point against its group's pass.
 ///
 /// The sweep is **fault-tolerant**: every job is panic-isolated with one
 /// retry, a corrupt checkpoint store degrades to warm-pass regeneration
@@ -662,7 +662,7 @@ pub fn run_sweep_metrics(
                 .run(
                     "sample",
                     &jobs,
-                    |(spec, pass, _)| sample_job(spec, &plan, &pass.set),
+                    |(spec, pass, _)| sample_job(spec, &plan, pass),
                     |_, _, &(_, _, outcome), _| outcome,
                 )
                 .into_iter();

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use vpr_bench::checkpoints::{
     checkpoint_key, config_hash, generate_checkpoints, sim_config, CheckpointStore, KIND_WARM,
 };
-use vpr_bench::sweep::{run_sweep_metrics, SweepContext, SweepPoint};
+use vpr_bench::sweep::{run_sweep_metrics, PointMetrics, SweepContext, SweepPoint};
 use vpr_bench::workloads::{scheme_label, THROUGHPUT_SCHEMES};
 use vpr_bench::ExperimentConfig;
 use vpr_core::{Processor, RenameScheme};
@@ -160,26 +160,46 @@ fn sampled_sweep_is_deterministic_and_reuses_disk_checkpoints() {
         jobs: 1,
         ..ExperimentConfig::quick()
     };
+    // The NRR-16 points share their family's canonical NRR-32 pass and
+    // re-target it, so they restore their windows even on a cold run.
     let points = [
         SweepPoint::at64(Benchmark::Swim, RenameScheme::Conventional),
+        SweepPoint::at64(Benchmark::Swim, RenameScheme::ConventionalEarlyRelease),
         SweepPoint::at64(
             Benchmark::Go,
             RenameScheme::VirtualPhysicalWriteback { nrr: 32 },
         ),
+        SweepPoint::at64(
+            Benchmark::Go,
+            RenameScheme::VirtualPhysicalWriteback { nrr: 16 },
+        ),
+        SweepPoint::at64(
+            Benchmark::Go,
+            RenameScheme::VirtualPhysicalIssue { nrr: 32 },
+        ),
+        SweepPoint::at64(
+            Benchmark::Go,
+            RenameScheme::VirtualPhysicalIssue { nrr: 16 },
+        ),
     ];
+    let same_bits = |a: &[PointMetrics], b: &[PointMetrics], what: &str| {
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().zip(b) {
+            assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "{what} ipc");
+            assert_eq!(a.miss_ratio.to_bits(), b.miss_ratio.to_bits(), "{what}");
+            assert_eq!(
+                a.executions_per_commit.to_bits(),
+                b.executions_per_commit.to_bits(),
+                "{what}"
+            );
+        }
+    };
 
     let serial = run_sweep_metrics(&points, &exp, &SweepContext::new(true, None));
     let mut exp_par = exp;
     exp_par.jobs = 4;
     let parallel = run_sweep_metrics(&points, &exp_par, &SweepContext::new(true, None));
-    for (a, b) in serial.points.iter().zip(&parallel.points) {
-        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "jobs-invariant ipc");
-        assert_eq!(a.miss_ratio.to_bits(), b.miss_ratio.to_bits());
-        assert_eq!(
-            a.executions_per_commit.to_bits(),
-            b.executions_per_commit.to_bits()
-        );
-    }
+    same_bits(&serial.points, &parallel.points, "jobs-invariant");
 
     // First sampled run against an empty directory generates and persists
     // the checkpoints; the second must load them and agree exactly.
@@ -190,11 +210,7 @@ fn sampled_sweep_is_deterministic_and_reuses_disk_checkpoints() {
         "sampled sweep persists generated checkpoints"
     );
     let second = run_sweep_metrics(&points, &exp, &SweepContext::new(true, Some(&dir)));
-    for (a, b) in first.points.iter().zip(&second.points) {
-        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "disk-seeded ipc");
-    }
-    for (a, b) in serial.points.iter().zip(&second.points) {
-        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "warm-pass == disk-seeded");
-    }
+    same_bits(&serial.points, &first.points, "no store == cold store");
+    same_bits(&first.points, &second.points, "cold store == warm store");
     let _ = std::fs::remove_dir_all(&dir);
 }

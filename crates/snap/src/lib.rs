@@ -521,8 +521,11 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Wraps an encoded payload.
-    pub fn new(payload: Vec<u8>) -> Self {
+    /// Wraps an encoded payload, releasing its spare capacity (an
+    /// [`Encoder`] grows by doubling, and a snapshot can be held for a
+    /// whole sweep).
+    pub fn new(mut payload: Vec<u8>) -> Self {
+        payload.shrink_to_fit();
         Self { payload }
     }
 
