@@ -84,9 +84,10 @@ impl JobSpec {
 
     /// The single-flight key two tenants' warm passes coalesce on: the
     /// (workload, seed, scheme-family) coordinate, via the checkpoint
-    /// store's family-label machinery. Family members serialise their
-    /// warm passes behind one lock; identical points behind it dedup
-    /// outright.
+    /// store's family-label machinery. Family members serialise behind
+    /// one lock, so only the first runs the warm pass; the service then
+    /// reuses an identical spec's finished result by its
+    /// [`JobSpec::to_json`] key, checked under the same lock.
     pub fn group_key(&self) -> String {
         format!(
             "{}/{}@{}r/s{}/w{}/mp{}",

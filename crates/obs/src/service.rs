@@ -33,9 +33,13 @@ pub struct ServeMetrics {
     /// Retry attempts scheduled (lease reclaims and worker deaths both
     /// land here).
     pub retries: u64,
-    /// Warm passes avoided because another tenant's pass already
-    /// deposited the artefact this job needed.
+    /// Warm passes avoided: the job restored a warm checkpoint another
+    /// job had deposited, or reused a finished identical job's result
+    /// (see `result_hits`, which this count includes).
     pub dedup_hits: u64,
+    /// Measurement windows avoided by reusing a finished identical job's
+    /// result instead of simulating it again.
+    pub result_hits: u64,
     /// Completed results served straight from the journal on replay,
     /// without recomputation.
     pub replay_hits: u64,
@@ -53,6 +57,7 @@ impl ServeMetrics {
         self.lease_expiries += other.lease_expiries;
         self.retries += other.retries;
         self.dedup_hits += other.dedup_hits;
+        self.result_hits += other.result_hits;
         self.replay_hits += other.replay_hits;
     }
 
@@ -93,8 +98,13 @@ impl ServeMetrics {
         );
         r.counter(
             "vpr_serve_dedup_hits_total",
-            "Warm passes avoided via the cross-tenant checkpoint cache",
+            "Warm passes avoided by restoring a shared checkpoint or reusing an identical job's result",
             self.dedup_hits,
+        );
+        r.counter(
+            "vpr_serve_result_hits_total",
+            "Measurement windows avoided by reusing a finished identical job's result",
+            self.result_hits,
         );
         r.counter(
             "vpr_serve_replay_hits_total",
@@ -128,6 +138,7 @@ mod tests {
             lease_expiries: k,
             retries: 2 * k,
             dedup_hits: 5,
+            result_hits: k + 1,
             replay_hits: k / 2,
         }
     }
@@ -159,6 +170,7 @@ mod tests {
             "vpr_serve_lease_expiries_total",
             "vpr_serve_retries_total",
             "vpr_serve_dedup_hits_total",
+            "vpr_serve_result_hits_total",
         ] {
             assert!(
                 text.contains(&format!("# TYPE {name} ")),
@@ -168,6 +180,7 @@ mod tests {
         assert!(text.contains("vpr_serve_lease_expiries_total 2\n"));
         assert!(text.contains("vpr_serve_retries_total 4\n"));
         assert!(text.contains("vpr_serve_dedup_hits_total 5\n"));
+        assert!(text.contains("vpr_serve_result_hits_total 3\n"));
         assert!(text.contains("vpr_serve_queue_depth 3\n"));
     }
 }

@@ -5,8 +5,9 @@
 //! job execution ([`vpr_bench::jobs`]) into a **long-running daemon**: N
 //! clients submit sweep grids over a Unix-domain socket (line-delimited
 //! JSON, parsed by the workspace's own [`vpr_snap::manifest`] reader),
-//! workers execute them under leases, and a shared warm-checkpoint store
-//! dedups warm passes across tenants.
+//! workers execute them under leases, each distinct job runs once and
+//! its identical duplicates reuse the result, and a shared
+//! warm-checkpoint store dedups warm passes across tenants.
 //!
 //! The robustness contract, built from four pieces:
 //!
@@ -20,11 +21,13 @@
 //!    exponential backoff ([`vpr_core::par::RetryPolicy`]). An exhausted
 //!    budget degrades into the structured NaN failure the batch sweep
 //!    reports — a poisoned job can never wedge the queue.
-//! 3. **Cross-tenant warm-pass dedup**: jobs coalesce on their
+//! 3. **Cross-tenant dedup**: jobs coalesce on their
 //!    (workload, seed, scheme-family) key via single-flight locks over
 //!    the [`vpr_bench::checkpoints::CheckpointStore`]; a warm pass that
 //!    crashes is re-run by the next waiter, and artefacts are deposited
 //!    only on success (atomic writes), so nothing torn is ever cached.
+//!    Under the same lock, a job whose identical spec already succeeded
+//!    reuses that result; failed attempts are never memoised.
 //! 4. **Fault hooks**: the daemon consults
 //!    [`vpr_snap::faults`] at its four service-specific points —
 //!    journal append, lease expiry, client disconnect, worker kill —

@@ -12,6 +12,17 @@
 //! is harmless, because jobs are deterministic and both executions
 //! produced the same bits.
 //!
+//! ### Dedup
+//!
+//! Jobs that share a warm pass (their [`JobSpec::group_key`]) run one at
+//! a time behind a single-flight lock, so the first deposits the warm
+//! checkpoint and the rest restore it. Identical specs go further: the
+//! first successful attempt memoises its metrics under the spec's wire
+//! rendering, and every later job with that key (from any tenant, or
+//! replayed from the journal's `done` records) completes from the memo
+//! without simulating anything. Jobs are deterministic, so a reused
+//! result is the bits a fresh execution would produce.
+//!
 //! ### Crash safety
 //!
 //! Accepted work and terminal outcomes go through the
@@ -31,6 +42,7 @@ use std::time::{Duration, Instant};
 
 use vpr_bench::checkpoints::{CheckpointOutcome, CheckpointStore};
 use vpr_bench::jobs::{execute_job, JobOutput, JobSpec};
+use vpr_bench::sweep::PointMetrics;
 use vpr_core::par::RetryPolicy;
 use vpr_obs::telemetry::{JobOutcome, JobTelemetry, RunTelemetry};
 use vpr_obs::ServeMetrics;
@@ -114,6 +126,7 @@ struct Counters {
     lease_expiries: AtomicU64,
     retries: AtomicU64,
     dedup_hits: AtomicU64,
+    result_hits: AtomicU64,
     replay_hits: AtomicU64,
     job_appends: AtomicU64,
 }
@@ -126,6 +139,9 @@ struct Inner {
     journal: Mutex<Journal>,
     store: Mutex<CheckpointStore>,
     flights: Mutex<HashMap<String, Arc<Mutex<()>>>>,
+    /// Metrics of every spec that completed successfully, keyed by
+    /// [`JobSpec::to_json`]: one entry per distinct spec, never evicted.
+    results: Mutex<HashMap<String, PointMetrics>>,
     telemetry: Mutex<RunTelemetry>,
     counters: Counters,
     next_id: AtomicU64,
@@ -163,6 +179,7 @@ impl Server {
         // Rebuild the job table: terminal records win over their job
         // record; everything else re-queues with a fresh budget.
         let mut jobs: HashMap<u64, JobEntry> = HashMap::new();
+        let mut results: HashMap<String, PointMetrics> = HashMap::new();
         let mut max_id = 0u64;
         let now = Instant::now();
         let mut replayed = 0u64;
@@ -183,6 +200,9 @@ impl Server {
                 Record::Done { id, output } => {
                     max_id = max_id.max(id);
                     if let Some(entry) = jobs.get_mut(&id) {
+                        // A restarted daemon answers a re-submitted spec
+                        // from the memo, as the first run would have.
+                        results.insert(entry.spec.to_json(), output.metrics);
                         entry.state = JobState::Done { output };
                         replayed += 1;
                     }
@@ -229,6 +249,7 @@ impl Server {
             journal: Mutex::new(journal),
             store: Mutex::new(store),
             flights: Mutex::new(HashMap::new()),
+            results: Mutex::new(results),
             counters: Counters::default(),
             next_id: AtomicU64::new(max_id + 1),
             shutdown: AtomicBool::new(false),
@@ -312,6 +333,7 @@ fn snapshot_metrics(inner: &Inner) -> ServeMetrics {
         lease_expiries: c.lease_expiries.load(Ordering::Relaxed),
         retries: c.retries.load(Ordering::Relaxed),
         dedup_hits: c.dedup_hits.load(Ordering::Relaxed),
+        result_hits: c.result_hits.load(Ordering::Relaxed),
         replay_hits: c.replay_hits.load(Ordering::Relaxed),
     }
 }
@@ -329,7 +351,19 @@ fn listen_loop(
                 let inner = Arc::clone(inner);
                 let label = format!("conn-{conn_seq}");
                 let handle = std::thread::spawn(move || handle_connection(&inner, stream, &label));
-                lock(handlers).push(handle);
+                let mut handlers = lock(handlers);
+                // Every request is its own connection: reap the finished
+                // handlers so a polling tenant does not grow this list
+                // for the daemon's whole life.
+                let mut i = 0;
+                while i < handlers.len() {
+                    if handlers[i].is_finished() {
+                        let _ = handlers.swap_remove(i).join();
+                    } else {
+                        i += 1;
+                    }
+                }
+                handlers.push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -552,9 +586,17 @@ fn worker_loop(inner: &Arc<Inner>, _worker: usize) {
             )
         };
         let label = spec.label();
+        let key = spec.to_json();
         let begun = Instant::now();
         let outcome = if inner.cfg.shard {
-            run_in_child(inner, &spec)
+            // No flight lock around the child: duplicates that run at the
+            // same time each spawn one; later ones hit the memo.
+            match reuse_result(inner, &key) {
+                Some(output) => Ok(output),
+                None => run_in_child(inner, &spec).inspect(|output| {
+                    memoise(inner, id, attempt, key, output);
+                }),
+            }
         } else {
             catch_unwind(AssertUnwindSafe(|| {
                 // The injected worker-kill fires here — after the lease,
@@ -567,7 +609,14 @@ fn worker_loop(inner: &Arc<Inner>, _worker: usize) {
                 // pass (artefacts are only deposited on success, so a
                 // crashed pass left nothing torn behind).
                 let _guard = flight.lock().unwrap_or_else(PoisonError::into_inner);
-                execute_job(&spec, Some(&inner.store))
+                // An identical job that held the lock before us left its
+                // result in the memo before releasing it.
+                if let Some(output) = reuse_result(inner, &key) {
+                    return output;
+                }
+                let output = execute_job(&spec, Some(&inner.store));
+                memoise(inner, id, attempt, key, &output);
+                output
             }))
             .map_err(|payload| panic_text(payload.as_ref()))
         };
@@ -594,6 +643,31 @@ fn single_flight(inner: &Inner, key: &str) -> Arc<Mutex<()>> {
             .entry(key.to_string())
             .or_insert_with(|| Arc::new(Mutex::new(()))),
     )
+}
+
+/// The output of a job whose identical spec already completed: the
+/// first execution's metrics, reported as a warm hit because this job
+/// simulated nothing.
+fn reuse_result(inner: &Inner, key: &str) -> Option<JobOutput> {
+    let metrics = *lock(&inner.results).get(key)?;
+    inner.counters.result_hits.fetch_add(1, Ordering::Relaxed);
+    Some(JobOutput {
+        metrics,
+        outcome: CheckpointOutcome::Hit(String::new()),
+        note: None,
+    })
+}
+
+/// Memoises a successful attempt's metrics for later identical jobs,
+/// unless the attempt's lease was reclaimed while it ran: only an attempt
+/// that still holds its lease counts as having succeeded.
+fn memoise(inner: &Inner, id: u64, attempt: u32, key: String, output: &JobOutput) {
+    let holds_lease = lock(&inner.jobs)
+        .get(&id)
+        .is_some_and(|e| e.attempts == attempt && matches!(e.state, JobState::Leased { .. }));
+    if holds_lease {
+        lock(&inner.results).insert(key, output.metrics);
+    }
 }
 
 /// Runs one job in a child `vpr-serve exec-job` process, killing it at
@@ -663,17 +737,20 @@ fn complete_job(
         if matches!(entry.state, JobState::Done { .. } | JobState::Failed { .. }) {
             return;
         }
+        // Journalled before a poll can see it. The table stays locked
+        // across the append so a racing completion cannot journal a
+        // second record for the same job.
+        if let Err(e) = lock(&inner.journal).append(&Record::Done {
+            id,
+            output: output.clone(),
+        }) {
+            // The result is still served from memory; a restart will
+            // re-run this one job. Degradation, not loss.
+            eprintln!("vpr-serve: done-record append failed for job {id}: {e}");
+        }
         entry.state = JobState::Done {
             output: output.clone(),
         };
-    }
-    if let Err(e) = lock(&inner.journal).append(&Record::Done {
-        id,
-        output: output.clone(),
-    }) {
-        // The result is still served from memory; a restart will re-run
-        // this one job. Degradation, not loss.
-        eprintln!("vpr-serve: done-record append failed for job {id}: {e}");
     }
     inner.counters.completed.fetch_add(1, Ordering::Relaxed);
     let telemetry_outcome = output.outcome.job_outcome();
@@ -722,18 +799,18 @@ fn retry_or_fail(inner: &Arc<Inner>, id: u64, label: &str, message: &str, attemp
     // sweep would report (NaN metrics, recovered: false) — the queue
     // moves on.
     let error = format!("job {label} failed after {attempt} attempts: {message}");
-    entry.state = JobState::Failed {
-        error: error.clone(),
-        attempts: attempt,
-    };
-    drop(jobs);
     if let Err(e) = lock(&inner.journal).append(&Record::Failed {
         id,
-        error,
+        error: error.clone(),
         attempts: attempt,
     }) {
         eprintln!("vpr-serve: failed-record append failed for job {id}: {e}");
     }
+    entry.state = JobState::Failed {
+        error,
+        attempts: attempt,
+    };
+    drop(jobs);
     inner.counters.failed.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -782,5 +859,32 @@ fn supervisor_loop(inner: &Arc<Inner>) {
                 .fetch_add(1, Ordering::Relaxed);
             retry_or_fail(inner, id, &label, "lease expired", attempts);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn finished_connection_handlers_are_reaped() {
+        let dir = std::env::temp_dir().join("vpr-serve-server-handlers");
+        let _ = std::fs::remove_dir_all(&dir);
+        let socket = dir.join("d.sock");
+        let mut cfg = ServeConfig::new(&socket, dir.join("state"));
+        cfg.workers = 1;
+        let server = Server::start(cfg).expect("daemon starts");
+        let client = Client::new(&socket);
+        let polls = 100;
+        for _ in 0..polls {
+            client.poll(&[1]).expect("poll");
+        }
+        let kept = lock(&server.handlers).len();
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+        // Each poll is its own connection; unreaped, `kept` would equal
+        // `polls`.
+        assert!(kept <= 8, "{kept} handler threads kept after {polls} polls");
     }
 }

@@ -8,12 +8,15 @@
 //!    (replay hits) instead of recomputing them;
 //! 3. the `--abort-after-appends` drill: a daemon that dies mid-submit
 //!    never acknowledged the batch, and the journalled prefix plus a
-//!    clean resubmission converge on the same bits.
+//!    clean resubmission converge on the same bits;
+//! 4. a restarted daemon answers a re-submitted grid from the journal's
+//!    finished results without executing anything.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use vpr_bench::checkpoints::CheckpointOutcome;
 use vpr_bench::jobs::{execute_job, JobOutput, JobSpec};
 use vpr_bench::ExperimentConfig;
 use vpr_core::RenameScheme;
@@ -205,6 +208,51 @@ fn aborted_submit_never_acknowledges_unjournalled_work() {
     for ((spec, r), want) in specs.iter().zip(&results).zip(&reference) {
         assert_bits(r, want, &format!("after abort drill: {}", spec.label()));
     }
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn restart_answers_a_resubmitted_grid_from_journalled_results() {
+    let specs = grid();
+    let reference: Vec<JobOutput> = specs.iter().map(|s| execute_job(s, None)).collect();
+
+    let root = tmp("memo");
+    let socket = root.join("serve.sock");
+    let dir = root.join("state");
+
+    let mut daemon = Daemon::spawn(&socket, &dir, &[]);
+    let client = Client::new(&socket);
+    let first = client.submit(&specs).unwrap();
+    client
+        .wait(&first, Duration::from_secs(180))
+        .expect("grid completes");
+
+    // Restart, then submit the same grid again under fresh ids (what a
+    // client does when its submit ack was lost). Every job reuses a
+    // journalled result instead of simulating.
+    daemon.sigterm();
+    let _daemon2 = Daemon::spawn(&socket, &dir, &[]);
+    let second = client.submit(&specs).expect("resubmit after restart");
+    assert!(second.iter().all(|id| !first.contains(id)), "{second:?}");
+    let results = client
+        .wait(&second, Duration::from_secs(60))
+        .expect("resubmitted grid completes");
+    for ((spec, r), want) in specs.iter().zip(&results).zip(&reference) {
+        let ctx = format!("resubmitted: {}", spec.label());
+        assert_bits(r, want, &ctx);
+        let outcome = &r.output.as_ref().unwrap().outcome;
+        assert!(
+            matches!(outcome, CheckpointOutcome::Hit(_)),
+            "{ctx}: {outcome:?}"
+        );
+    }
+    let (_, prometheus) = client.metrics().expect("metrics after resubmit");
+    assert!(
+        prometheus.contains(&format!("vpr_serve_result_hits_total {}\n", specs.len())),
+        "all {} resubmitted jobs should reuse journalled results:\n{prometheus}",
+        specs.len()
+    );
 
     let _ = std::fs::remove_dir_all(&root);
 }

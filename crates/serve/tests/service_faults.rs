@@ -208,3 +208,69 @@ fn exhausted_retry_budget_degrades_into_a_structured_failure() {
 
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn identical_jobs_execute_once_and_a_killed_leader_memoises_nothing() {
+    let _x = faults::exclusive();
+
+    let specs = grid();
+    let reference: Vec<JobOutput> = specs.iter().map(|s| execute_job(s, None)).collect();
+
+    // Two workers, two tenants on the same grid: every spec executes once
+    // and its duplicate reuses the result. The second round first kills
+    // the worker that picks up one spec's leader; that attempt must leave
+    // nothing behind, so its duplicate still ends with the reference bits.
+    let killed = specs[0].label();
+    for kill in [false, true] {
+        let root = tmp(&format!("memo-kill-{kill}"));
+        let socket = root.join("serve.sock");
+        let mut cfg = ServeConfig::new(&socket, root.join("state"));
+        cfg.workers = 2;
+        cfg.retry = RetryPolicy::immediate(3);
+        let server = Server::start(cfg).expect("daemon starts");
+        if kill {
+            faults::arm(FaultPlan::new(
+                vpr_snap::faults::FaultKind::WorkerKill,
+                vpr_snap::faults::FaultOp::Worker,
+                killed.as_str(),
+            ));
+        }
+
+        let handles: Vec<_> = (0..2)
+            .map(|tenant| {
+                let specs = specs.clone();
+                let socket = socket.clone();
+                std::thread::spawn(move || {
+                    let client = Client::new(socket);
+                    let ids = client
+                        .submit(&specs)
+                        .unwrap_or_else(|e| panic!("tenant {tenant} submit: {e}"));
+                    client
+                        .wait(&ids, Duration::from_secs(180))
+                        .unwrap_or_else(|e| panic!("tenant {tenant} wait: {e}"))
+                })
+            })
+            .collect();
+        let tenants: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+
+        let fired = if kill { faults::disarm() } else { None };
+        let metrics = server.metrics();
+        server.stop();
+
+        assert_eq!(fired.is_some(), kill, "the worker-kill fault must fire");
+        for (tenant, results) in tenants.iter().enumerate() {
+            assert_eq!(results.len(), specs.len());
+            for ((spec, r), want) in specs.iter().zip(results).zip(&reference) {
+                let ctx = format!("kill {kill}, tenant {tenant}: {}", spec.label());
+                assert_eq!(r.state, "done", "{ctx}: {:?}", r.error);
+                assert_bits(r.output.as_ref().expect("done carries output"), want, &ctx);
+            }
+        }
+        // Whichever of a spec's two jobs runs first executes it and the
+        // other reuses it: the killed attempt executed nothing and its
+        // retry counts as an ordinary duplicate.
+        assert_eq!(metrics.result_hits, specs.len() as u64, "kill {kill}");
+        assert_eq!(metrics.retries, u64::from(kill), "kill {kill}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
